@@ -229,39 +229,20 @@ def run_benchmarks(
                 )
             )
 
-    # --- parallel solve and campaign (sequential vs -j) ----------------
-    # The per-entry partitioned solve on the seed-richest analysis, and
-    # the Table 2 campaign fanned over worker processes.  The campaign
+    # --- campaign (sequential vs -j) -----------------------------------
+    # The Table 2 campaign fanned over worker processes.  The campaign
     # cutoff is set high enough that no cell is truncated, so sequential
     # and parallel rows measure *identical* work — per-configuration wall
     # times inflate under contention and would otherwise trip the cutoff
     # earlier in the parallel run, flattering the comparison.
-    print(f"parallel solve + campaign (sequential vs -j {parallel}):", flush=True)
+    print(f"campaign (sequential vs -j {parallel}):", flush=True)
     from repro.experiments.table2 import run_table2
 
-    par_subjects = ("GPL-like",) if quick else ("GPL-like", "MM08-like")
-    for subject_name in par_subjects:
-        product_line = subjects[subject_name]
-
-        def run_parallel_solve(pl=product_line) -> Dict[str, int]:
-            results = SPLLift(
-                UninitializedVariablesAnalysis(pl.icfg),
-                feature_model=pl.feature_model,
-            ).solve(parallel=parallel)
-            return results.stats
-
-        rows.append(
-            _record(
-                f"spllift/{subject_name}/uninitialized_variables/parallel_j{parallel}",
-                run_parallel_solve,
-                rounds,
-            )
-        )
-
+    campaign_subjects = ("GPL-like",) if quick else ("GPL-like", "MM08-like")
     campaign_builders = [
         (name, builder)
         for name, builder in SUBJECT_BUILDERS
-        if name in par_subjects
+        if name in campaign_subjects
     ]
     campaign_analyses = (
         [("Uninitialized Variables", UninitializedVariablesAnalysis)]
@@ -811,8 +792,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--parallel",
         type=int,
         default=4,
-        help="worker count for the parallel solve / campaign rows "
-        "(default 4)",
+        help="worker count for the parallel campaign row (default 4)",
     )
     parser.add_argument(
         "--max-overhead-pct",

@@ -11,21 +11,16 @@ Usage::
 
     PYTHONPATH=src python scripts/check_digest_identity.py
     PYTHONPATH=src python scripts/check_digest_identity.py --orders fifo rpo
-    PYTHONPATH=src python scripts/check_digest_identity.py --parallel 2
     PYTHONPATH=src python scripts/check_digest_identity.py --engine datalog
     PYTHONPATH=src python scripts/check_digest_identity.py --baseline digests.json
     PYTHONPATH=src python scripts/check_digest_identity.py --dump digests.json
 
-``--parallel N`` additionally solves every combination with the
-partitioned parallel solver (``solve(parallel=N)``) and asserts those
-digests match the sequential reference too — the gate behind
-``repro.core.parallel``.  ``--engine datalog`` re-solves every
-combination with the lifted-Datalog evaluation engine and requires its
-digests bit-identical to the tabulation reference — the cross-checking
-gate behind ``repro.datalog``.  ``--telemetry`` re-solves with tracing and
-metrics enabled (sequential, and parallel when ``--parallel`` is given)
-and requires the digests to stay bit-identical — the gate behind
-``repro.obs``: observing the solver must never change what it computes.
+``--engine datalog`` re-solves every combination with the lifted-Datalog
+evaluation engine and requires its digests bit-identical to the
+tabulation reference — the cross-checking gate behind ``repro.datalog``.
+``--telemetry`` re-solves with tracing and metrics enabled and requires
+the digests to stay bit-identical — the gate behind ``repro.obs``:
+observing the solver must never change what it computes.
 ``--obs`` extends that gate to the full observability stack: one pass
 with the flight recorder and a structured event log armed, and one pass
 through a served HTTP store with a run id set (so trace-context
@@ -65,9 +60,7 @@ def slug(analysis_name: str) -> str:
     return analysis_name.lower().replace(" ", "_")
 
 
-def compute_digests(
-    order: str, seed: int, parallel: int = 1, engine: str = None
-) -> dict:
+def compute_digests(order: str, seed: int, engine: str = None) -> dict:
     digests = {}
     for subject_name, builder in paper_subjects():
         product_line = builder()
@@ -78,7 +71,6 @@ def compute_digests(
             ).solve(
                 worklist_order=order,
                 order_seed=seed,
-                parallel=parallel,
                 engine=engine,
             )
             digests[f"{subject_name}/{slug(analysis_name)}"] = (
@@ -87,7 +79,7 @@ def compute_digests(
     return digests
 
 
-def check_incremental(reference: dict, seed: int, parallel=None) -> int:
+def check_incremental(reference: dict, seed: int) -> int:
     """Gate the incremental solve path; count mismatches.
 
     For each of the 12 subject × analysis combinations, against a
@@ -100,10 +92,7 @@ def check_incremental(reference: dict, seed: int, parallel=None) -> int:
        solve of the edited subject — the new reference;
     3. a *warm* incremental solve of the same edited subject — digest
        bit-identical to (2), with ``summaries_reused > 0`` and a reuse
-       ratio ≥ 0.8 (the 1-of-N edit must be near-O(dirty) work);
-    4. with ``--parallel N``: a parallel cold solve of the edited
-       subject, also bit-identical (the incremental path itself is
-       sequential; this pins warm-vs-parallel equality).
+       ratio ≥ 0.8 (the 1-of-N edit must be near-O(dirty) work).
     """
     from repro.ide.summaries import summary_cache_for
     from repro.service import open_store
@@ -165,25 +154,8 @@ def check_incremental(reference: dict, seed: int, parallel=None) -> int:
                         f"{reused} reused / {recomputed} recomputed "
                         f"= {ratio:.2f} < 0.8"
                     )
-
-                if parallel is not None:
-                    par_edit, _, _ = edited_product_line(builder())
-                    par = lift(par_edit).solve(
-                        order_seed=seed, parallel=parallel
-                    ).result_digest()
-                    if par != cold:
-                        failures += 1
-                        print(
-                            f"INCREMENTAL PARALLEL MISMATCH {key}: "
-                            f"parallel={par[:16]}… cold={cold[:16]}…"
-                        )
-    suffix = (
-        f", warm vs parallel={parallel} cold included"
-        if parallel is not None
-        else ""
-    )
     print(
-        f"{rows} digests cold vs incremental (1-method edit{suffix}): "
+        f"{rows} digests cold vs incremental (1-method edit): "
         + ("all identical" if not failures else f"{failures} failures")
     )
     return failures
@@ -358,14 +330,6 @@ def main(argv=None) -> int:
         "--seed", type=int, default=7, help="seed for the random order"
     )
     parser.add_argument(
-        "--parallel",
-        type=int,
-        default=None,
-        metavar="N",
-        help="also solve with the partitioned parallel solver "
-        "(N worker processes) and require identical digests",
-    )
-    parser.add_argument(
         "--engine",
         default=None,
         metavar="ENGINE",
@@ -398,8 +362,7 @@ def main(argv=None) -> int:
         help="also gate the incremental solve path: populate a summary "
         "store, edit one method per subject, and require the warm "
         "re-solve bit-identical to a cold solve of the edited subject "
-        "with reuse ratio >= 0.8 (uses --parallel for an extra "
-        "parallel-cold comparison)",
+        "with reuse ratio >= 0.8",
     )
     parser.add_argument(
         "--baseline",
@@ -429,29 +392,6 @@ def main(argv=None) -> int:
         + ("all identical" if not failures else f"{failures} mismatches")
     )
 
-    if args.parallel is not None:
-        parallel_digests = compute_digests(
-            reference_order, args.seed, parallel=args.parallel
-        )
-        parallel_failures = 0
-        for key, digest in parallel_digests.items():
-            if digest != reference[key]:
-                parallel_failures += 1
-                print(
-                    f"PARALLEL MISMATCH {key}: "
-                    f"parallel={digest[:16]}… sequential={reference[key][:16]}…"
-                )
-        failures += parallel_failures
-        print(
-            f"{len(parallel_digests)} digests with solve(parallel="
-            f"{args.parallel}): "
-            + (
-                "all identical to sequential"
-                if not parallel_failures
-                else f"{parallel_failures} mismatches"
-            )
-        )
-
     if args.engine is not None:
         engine_digests = compute_digests(
             reference_order, args.seed, engine=args.engine
@@ -476,38 +416,32 @@ def main(argv=None) -> int:
         )
 
     if args.telemetry:
-        modes = [("sequential", 1)]
-        if args.parallel is not None:
-            modes.append((f"parallel={args.parallel}", args.parallel))
-        for mode_name, workers in modes:
+        obs.reset()
+        obs.enable_tracing()
+        try:
+            traced = compute_digests(reference_order, args.seed)
+        finally:
+            traced_events = len(obs.tracer().events())
+            obs.disable_tracing()
             obs.reset()
-            obs.enable_tracing()
-            try:
-                traced = compute_digests(
-                    reference_order, args.seed, parallel=workers
+        traced_failures = 0
+        for key, digest in traced.items():
+            if digest != reference[key]:
+                traced_failures += 1
+                print(
+                    f"TELEMETRY MISMATCH {key}: "
+                    f"traced={digest[:16]}… untraced={reference[key][:16]}…"
                 )
-            finally:
-                traced_events = len(obs.tracer().events())
-                obs.disable_tracing()
-                obs.reset()
-            traced_failures = 0
-            for key, digest in traced.items():
-                if digest != reference[key]:
-                    traced_failures += 1
-                    print(
-                        f"TELEMETRY MISMATCH ({mode_name}) {key}: "
-                        f"traced={digest[:16]}… untraced={reference[key][:16]}…"
-                    )
-            failures += traced_failures
-            print(
-                f"{len(traced)} digests with telemetry on ({mode_name}, "
-                f"{traced_events} trace events): "
-                + (
-                    "all identical to untraced"
-                    if not traced_failures
-                    else f"{traced_failures} mismatches"
-                )
+        failures += traced_failures
+        print(
+            f"{len(traced)} digests with telemetry on "
+            f"({traced_events} trace events): "
+            + (
+                "all identical to untraced"
+                if not traced_failures
+                else f"{traced_failures} mismatches"
             )
+        )
 
     if args.obs:
         failures += check_obs(reference, reference_order, args.seed)
@@ -516,7 +450,7 @@ def main(argv=None) -> int:
         failures += check_backends(reference)
 
     if args.incremental:
-        failures += check_incremental(reference, args.seed, args.parallel)
+        failures += check_incremental(reference, args.seed)
 
     if args.baseline:
         saved = json.load(open(args.baseline))

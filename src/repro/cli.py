@@ -136,7 +136,6 @@ def _findings(
     fm_mode: str,
     reorder: Optional[str] = None,
     worklist_order: Optional[str] = None,
-    parallel: Optional[int] = None,
     incremental_cache: Optional[str] = None,
     engine: Optional[str] = None,
 ) -> Tuple[List[Tuple[str, str, str]], SPLLiftResults]:
@@ -167,7 +166,6 @@ def _findings(
             summaries = summary_cache_for(spllift, open_store(incremental_cache))
         return spllift.solve(
             worklist_order=worklist_order,
-            parallel=parallel,
             summaries=summaries,
             engine=engine,
         )
@@ -209,11 +207,13 @@ def _findings(
             else ReachingDefinitionsAnalysis(icfg)
         )
         results = solve(analysis)
-        # Informational analyses: report all facts at method exits.
+        # Informational analyses: report all facts at method exits, in
+        # a hash-seed-independent order (the solver's insertion order
+        # follows set iteration over facts).
         queries = []
         for method in icfg.reachable_methods:
             for exit_point in method.exit_points:
-                for fact in results.results_at(exit_point):
+                for fact in sorted(results.results_at(exit_point), key=repr):
                     queries.append((exit_point, fact, f"{fact}"))
     else:
         raise ValueError(f"unknown analysis {analysis_name!r}")
@@ -233,7 +233,6 @@ def _cmd_analyze(args) -> int:
         args.fm_mode,
         reorder=args.reorder,
         worklist_order=args.worklist_order,
-        parallel=args.parallel,
         incremental_cache=args.incremental_cache,
         engine=args.engine,
     )
@@ -642,21 +641,12 @@ def build_parser() -> argparse.ArgumentParser:
         "order-independent (default: fifo, or $SPLLIFT_WORKLIST_ORDER)",
     )
     analyze.add_argument(
-        "--parallel",
-        "-j",
-        type=int,
-        default=None,
-        help="partition the solve by entry context over this many worker "
-        "processes (0 = all cores; default: $SPLLIFT_PARALLEL, else 1); "
-        "results are bit-identical to the sequential solve",
-    )
-    analyze.add_argument(
         "--engine",
         default=None,
         metavar="ENGINE",
         help="evaluation engine: 'tabulate' (two-phase IDE tabulation, "
         "the default) or 'datalog' (semi-naive lifted-Datalog fixpoint; "
-        "bit-identical results, sequential, no --incremental-cache); "
+        "bit-identical results, no --incremental-cache); "
         "default: $SPLLIFT_ENGINE, else tabulate",
     )
     analyze.add_argument(
@@ -666,8 +656,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="method-summary store for incremental re-analysis: a path, "
         "sqlite://file.db, or http://host:port; summaries of "
         "content-unchanged methods are reused and fresh ones stored "
-        "back (results bit-identical to a cold solve; implies a "
-        "sequential solve)",
+        "back (results bit-identical to a cold solve)",
     )
     telemetry(analyze)
     analyze.add_argument(

@@ -283,8 +283,10 @@ class LiftedProblem(IDEProblem[D, Constraint]):
         scheduled whenever a feature is missing from the feature model.
         Declaring deterministically (feature model first, then
         annotations in statement order, alphabetical within a formula)
-        is what lets a parallel solve's partitions, its parent, and the
-        sequential reference all render bit-identical constraints.
+        is what keeps every worklist order rendering bit-identical
+        constraints, and keeps them identical across processes, which
+        cross-process records rely on: stored summaries decoded into a
+        warm solve, and batch results compared with direct solves.
         """
         from collections import deque
 

@@ -1,42 +1,24 @@
-"""Parallel solve layer: process fan-out for campaigns and lifted solves.
+"""Process fan-out at job granularity: one worker process per task.
 
-Two consumers share one engine:
+:class:`ProcessTaskPool` runs ``(callable, args)`` tasks over
+short-lived worker processes.  It backs every fan-out in the project —
+the :class:`~repro.service.scheduler.BatchScheduler`, the Table 2/3
+campaign cells and the A2 configuration waves — with one process per
+task attempt (SIGKILL-safe, no ``BrokenProcessPool``), bounded crash
+retry, per-task timeout, and graceful inline degradation when processes
+cannot be spawned.  The wait loop blocks on
+:func:`multiprocessing.connection.wait` over the result pipes *and* the
+process sentinels, with the timeout derived from the nearest task
+deadline — no polling, no busy-wait.
 
-- :class:`ProcessTaskPool` — a generic fan-out of ``(callable, args)``
-  tasks over short-lived worker processes.  It is the
-  :class:`~repro.service.scheduler.BatchScheduler` machinery extracted
-  into a reusable form: one process per task attempt (SIGKILL-safe, no
-  ``BrokenProcessPool``), bounded crash retry, per-task timeout, and
-  graceful inline degradation when processes cannot be spawned.  The
-  wait loop blocks on :func:`multiprocessing.connection.wait` over the
-  result pipes *and* the process sentinels, with the timeout derived
-  from the nearest task deadline — no polling, no busy-wait.
-
-- :func:`solve_lifted_parallel` — per-entry-context parallelism for
-  ``SPLLift.solve(parallel=N)``.  Phase-I tabulation is independent per
-  seed ``(statement, fact)`` unit: the IDE solution over a seed set is
-  the join of the solutions over its singletons, because every value is
-  a join over paths and paths from distinct seeds never interact.  The
-  seeds are partitioned, each partition is solved in a forked worker,
-  and the per-partition values come back as (statement index, fact
-  codec, constraint ref) triples with the constraints shipped through
-  the canonical node-table codec of
-  :mod:`repro.constraints.serialize`.  The parent decodes into its own
-  constraint system and joins duplicates in deterministic submission
-  order, so ``result_digest()`` is bit-identical to a sequential solve.
-
-Workers are forked *after* the lifted problem is built, so they inherit
-the parent's instruction identities (the statement index is shared by
-construction) and its BDD variable order.  On platforms without fork,
-or when anything at all goes wrong in a partition, the caller falls
-back to the ordinary sequential solve — parallelism may only change
-speed, never results.
+A single lifted solve is always sequential: partitioning one solve by
+seed across processes measured slower than solving it in one process,
+so parallelism lives only at the granularity of whole jobs.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import importlib
 import os
 import pickle
 import shutil
@@ -46,9 +28,6 @@ import time
 from collections import deque
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
-from repro.constraints.serialize import decode_constraints, encode_constraints
-from repro.ifds.problem import ZERO, ZeroFact
-from repro.ir.instructions import Instruction
 from repro.obs import runtime as obs
 from repro.obs.flight import FLIGHT_DIR_ENV, load_spill
 
@@ -57,11 +36,10 @@ __all__ = [
     "resolve_parallel",
     "TaskOutcome",
     "ProcessTaskPool",
-    "solve_lifted_parallel",
 ]
 
-#: Environment default for every ``parallel=None`` entry point
-#: (``SPLLift.solve``, the experiment runners, the CLI).
+#: Environment default for every ``parallel=None`` fan-out: the
+#: experiment runners' Table 2/3 cells and A2 configuration waves.
 PARALLEL_ENV = "SPLLIFT_PARALLEL"
 
 #: Set in worker processes: gates the service's fault-injection hooks and
@@ -509,212 +487,3 @@ class ProcessTaskPool:
             flight=dump,
         )
 
-
-# ======================================================================
-# Per-entry-context parallel lifted solve
-# ======================================================================
-
-
-class ParallelSolveError(ValueError):
-    """A value that cannot cross the worker boundary."""
-
-
-def _encode_value(value, stmt_index: Dict[Instruction, int]):
-    """Encode a fact (or fact component) as plain, picklable data.
-
-    Facts are arbitrary hashable objects; the codec covers the shapes
-    the bundled analyses use — primitives, the 0-fact, instructions (by
-    shared index), tuples/frozensets, and ``__slots__``/dataclass value
-    objects reconstructed from their public fields.
-    """
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return ("p", value)
-    if isinstance(value, ZeroFact):
-        return ("z",)
-    if isinstance(value, Instruction):
-        return ("s", stmt_index[value])
-    if isinstance(value, tuple):
-        return ("t", tuple(_encode_value(item, stmt_index) for item in value))
-    if isinstance(value, frozenset):
-        items = sorted(
-            (_encode_value(item, stmt_index) for item in value), key=repr
-        )
-        return ("f", tuple(items))
-    cls = type(value)
-    if dataclasses.is_dataclass(value):
-        args = [getattr(value, f.name) for f in dataclasses.fields(value)]
-    elif getattr(cls, "__slots__", None) is not None:
-        args = [
-            getattr(value, name)
-            for name in cls.__slots__
-            if not name.startswith("_")
-        ]
-    else:
-        raise ParallelSolveError(f"cannot serialize fact {value!r}")
-    return (
-        "o",
-        cls.__module__,
-        cls.__qualname__,
-        tuple(_encode_value(arg, stmt_index) for arg in args),
-    )
-
-
-def _decode_value(payload, stmts: Sequence[Instruction]):
-    tag = payload[0]
-    if tag == "p":
-        return payload[1]
-    if tag == "z":
-        return ZERO
-    if tag == "s":
-        return stmts[payload[1]]
-    if tag == "t":
-        return tuple(_decode_value(item, stmts) for item in payload[1])
-    if tag == "f":
-        return frozenset(_decode_value(item, stmts) for item in payload[1])
-    if tag == "o":
-        target = importlib.import_module(payload[1])
-        for part in payload[2].split("."):
-            target = getattr(target, part)
-        return target(*(_decode_value(arg, stmts) for arg in payload[3]))
-    raise ParallelSolveError(f"unknown fact payload tag {tag!r}")
-
-
-class _SeedSubsetProblem:
-    """A lifted problem restricted to a subset of its seed units.
-
-    Everything except the seeds delegates to the wrapped problem, so a
-    partition's solver sees the full program — it just starts fewer
-    tabulation contexts.
-    """
-
-    def __init__(self, problem, units) -> None:
-        self._problem = problem
-        self._units = units
-
-    def __getattr__(self, name):
-        return getattr(self._problem, name)
-
-    def initial_seeds(self):
-        seeds: Dict[Instruction, set] = {}
-        for stmt, fact in self._units:
-            seeds.setdefault(stmt, set()).add(fact)
-        return seeds
-
-    def initial_seed_values(self):
-        full = self._problem.initial_seed_values()
-        return {
-            stmt: {fact: full[stmt][fact] for fact in facts}
-            for stmt, facts in self.initial_seeds().items()
-        }
-
-
-def _seed_units(problem) -> List[Tuple[Instruction, object]]:
-    """The independent tabulation contexts: one (statement, fact) seed
-    unit each, in deterministic seed order."""
-    units = []
-    for stmt, facts in problem.initial_seeds().items():
-        for fact in sorted(facts, key=repr):
-            units.append((stmt, fact))
-    return units
-
-
-def _solve_partition_task(
-    problem, units, worklist_order, order_seed, stmt_index
-) -> Dict[str, object]:
-    """Worker body: solve one seed partition, return encoded values."""
-    from repro.ide.solver import IDESolver
-
-    solver = IDESolver(
-        _SeedSubsetProblem(problem, units),
-        worklist_order=worklist_order,
-        order_seed=order_seed,
-    )
-    ide_results = solver.solve()
-    entries = []
-    constraints: List[object] = []
-    constraint_ref: Dict[object, int] = {}
-    for (stmt, fact), value in ide_results.items():
-        ref = constraint_ref.get(value)
-        if ref is None:
-            ref = constraint_ref[value] = len(constraints)
-            constraints.append(value)
-        entries.append((stmt_index[stmt], _encode_value(fact, stmt_index), ref))
-    return {
-        "entries": entries,
-        "constraints": encode_constraints(problem.system, constraints),
-        "stats": dict(solver.stats),
-    }
-
-
-def solve_lifted_parallel(
-    spllift,
-    worklist_order: Optional[str] = None,
-    order_seed: int = 0,
-    workers: int = 2,
-):
-    """Solve ``spllift.problem`` across ``workers`` processes.
-
-    Returns ``(IDEResults, stats)`` on success, or ``None`` when the
-    solve cannot be partitioned (fewer than two seed units) or any
-    partition failed — the caller then runs the sequential solve.
-    """
-    problem = spllift.problem
-    system = spllift.system
-    units = _seed_units(problem)
-    if len(units) < 2:
-        return None
-    partition_count = min(workers, len(units))
-    partitions: List[List[Tuple[Instruction, object]]] = [
-        [] for _ in range(partition_count)
-    ]
-    for position, unit in enumerate(units):
-        partitions[position % partition_count].append(unit)
-
-    stmts = tuple(problem.icfg.reachable_instructions())
-    stmt_index = {stmt: position for position, stmt in enumerate(stmts)}
-
-    pool = ProcessTaskPool(max_workers=workers, max_retries=0)
-    try:
-        results = pool.run(
-            [
-                (
-                    _solve_partition_task,
-                    (problem, partition, worklist_order, order_seed, stmt_index),
-                )
-                for partition in partitions
-            ]
-        )
-    except ParallelSolveError:
-        return None
-    if any(not outcome.ok for outcome in results):
-        return None
-
-    # Deterministic merge: partitions in submission order, entries in
-    # each partition's (deterministic) solve order, duplicates joined.
-    values: Dict[Tuple[Instruction, object], object] = {}
-    merged_stats: Dict[str, object] = {}
-    with obs.tracer().span("spllift/parallel/merge", partitions=partition_count):
-        for outcome in results:
-            payload = outcome.result
-            decoded = decode_constraints(system, payload["constraints"])
-            for stmt_ref, fact_payload, ref in payload["entries"]:
-                key = (stmts[stmt_ref], _decode_value(fact_payload, stmts))
-                old = values.get(key)
-                value = decoded[ref]
-                values[key] = value if old is None else (old | value)
-            for name, count in payload["stats"].items():
-                if isinstance(count, bool) or not isinstance(count, int):
-                    continue
-                merged_stats[name] = merged_stats.get(name, 0) + count
-    merged_stats["worklist_order"] = results[0].result["stats"].get(
-        "worklist_order"
-    )
-    merged_stats["parallel_workers"] = max(1, pool.peak_workers)
-    merged_stats["parallel_partitions"] = partition_count
-
-    from repro.ide.solver import IDEResults
-
-    return (
-        IDEResults(values, problem.top_value(), problem.zero),
-        merged_stats,
-    )

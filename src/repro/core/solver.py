@@ -18,7 +18,6 @@ the 0-fact's value gives each statement's reachability constraint
 from __future__ import annotations
 
 import hashlib
-import sys
 import time
 from typing import Dict, Generic, Hashable, List, Optional, TypeVar, Union
 
@@ -197,7 +196,6 @@ class SPLLift(Generic[D]):
         self,
         worklist_order: Optional[str] = None,
         order_seed: int = 0,
-        parallel: Optional[int] = None,
         summaries: Optional[object] = None,
         engine: Optional[str] = None,
     ) -> SPLLiftResults[D]:
@@ -207,32 +205,23 @@ class SPLLift(Generic[D]):
         order (see :class:`IDESolver`); the fixed point — and therefore
         the result digest — is order-independent.
 
-        ``parallel`` (default ``$SPLLIFT_PARALLEL``, else 1) partitions
-        phase-I tabulation by entry context across worker processes and
-        joins the partial solutions deterministically; results are
-        bit-identical to the sequential solve, which also serves as the
-        fallback whenever the solve cannot be partitioned (see
-        :mod:`repro.core.parallel`).
-
         ``summaries`` arms incremental re-analysis: a
         :class:`~repro.ide.summaries.SummaryCache` whose stored
         per-method summaries are injected for content-identical methods
-        and refreshed for the rest (see ``summary_cache_for``).  An
-        armed solve runs sequentially — injection rewires one solver's
-        tables in place, which does not compose with the by-seed
-        partitioning — so ``parallel`` beyond 1 is downgraded with a
-        warning and the stats report the achieved ``parallel_workers``;
-        results stay bit-identical either way.
+        and refreshed for the rest (see ``summary_cache_for``); results
+        are bit-identical to a cold solve.
 
         ``engine`` selects the evaluation engine (default
         ``$SPLLIFT_ENGINE``, else ``tabulate``): ``"tabulate"`` is the
         two-phase IDE tabulation above; ``"datalog"`` compiles the
         lifted problem to constraint-annotated Datalog rules and runs a
         semi-naive fixpoint (:mod:`repro.datalog`) — an independent
-        engine whose results are bit-identical.  The datalog engine is
-        sequential and does not support ``summaries``.
+        engine whose results are bit-identical.  The datalog engine does
+        not support ``summaries``.
+
+        Every solve runs in this process; parallelism lives at job
+        granularity (:class:`~repro.core.parallel.ProcessTaskPool`).
         """
-        from repro.core.parallel import resolve_parallel
         from repro.datalog import resolve_engine
 
         engine = resolve_engine(engine)
@@ -241,19 +230,6 @@ class SPLLift(Generic[D]):
                 "engine 'datalog' does not support incremental summaries "
                 "(use the tabulation engine for warm solves)"
             )
-        workers = resolve_parallel(parallel)
-        if workers > 1 and (summaries is not None or engine == "datalog"):
-            reason = (
-                "incremental summaries force a sequential solve"
-                if summaries is not None
-                else "the datalog engine is sequential"
-            )
-            print(
-                f"spllift: warning: {reason}; "
-                f"ignoring parallel={workers} (running 1 worker)",
-                file=sys.stderr,
-            )
-            workers = 1
         # Live progress gets the BDD substrate's node count alongside the
         # solver's own fields; set here because only this layer knows the
         # constraint system.
@@ -264,13 +240,13 @@ class SPLLift(Generic[D]):
                 "bdd_nodes": system.solver_stats()["bdd_nodes"]
             }
         with obs.tracer().span(
-            "spllift/solve", workers=workers, fm_mode=self.fm_mode, engine=engine
+            "spllift/solve", fm_mode=self.fm_mode, engine=engine
         ):
             if engine == "datalog":
                 results = self._solve_datalog()
             else:
                 results = self._solve_timed(
-                    worklist_order, order_seed, workers, summaries
+                    worklist_order, order_seed, summaries
                 )
         self._publish_bdd_metrics()
         return results
@@ -284,7 +260,6 @@ class SPLLift(Generic[D]):
         elapsed = time.perf_counter() - started
         stats: Dict[str, int] = {"engine": "datalog"}
         stats.update(solver.stats)
-        stats.update({"parallel_workers": 1, "parallel_partitions": 1})
         return SPLLiftResults(
             ide_results, self.system, self.feature_model, stats, elapsed
         )
@@ -293,28 +268,8 @@ class SPLLift(Generic[D]):
         self,
         worklist_order: Optional[str],
         order_seed: int,
-        workers: int,
         summaries: Optional[object] = None,
     ) -> SPLLiftResults[D]:
-        from repro.core.parallel import solve_lifted_parallel
-
-        started = time.perf_counter()
-        if workers > 1:
-            merged = solve_lifted_parallel(
-                self,
-                worklist_order=worklist_order,
-                order_seed=order_seed,
-                workers=workers,
-            )
-            if merged is not None:
-                ide_results, stats = merged
-                return SPLLiftResults(
-                    ide_results,
-                    self.system,
-                    self.feature_model,
-                    stats,
-                    time.perf_counter() - started,
-                )
         solver = IDESolver(
             self.problem,
             worklist_order=worklist_order,

@@ -214,10 +214,6 @@ class IDESolver(Generic[D, V]):
             "summaries_reused": 0,
             "summaries_recomputed": 0,
             "summaries_invalidated": 0,
-            # Overridden by the parallel solve layer; a plain sequential
-            # solve is one partition on one worker.
-            "parallel_workers": 1,
-            "parallel_partitions": 1,
         }
         # Two-level jump index: target stmt -> d1 -> d2 -> jump function.
         # The nesting lets phase II enumerate exactly the pairs whose source

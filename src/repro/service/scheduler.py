@@ -5,7 +5,7 @@ worker killed mid-job (OOM killer, segfault in a native extension, the
 fault-injection tests) takes a ``concurrent.futures`` pool down with a
 ``BrokenProcessPool`` for *every* in-flight job.  The per-job-process
 machinery lives in :class:`repro.core.parallel.ProcessTaskPool` (shared
-with the parallel solve layer); this module adds the job semantics:
+with the experiment campaigns); this module adds the job semantics:
 
 - **store first** — jobs whose digest is already in the result store are
   served without touching a worker (the warm path);

@@ -3,7 +3,7 @@
 :func:`execute_job` is the whole pipeline — parse the MiniJava source,
 parse the feature model, lower, build the ICFG, lift, solve, serialize —
 run either in-process (inline fallback) or inside a pool worker process
-(:func:`worker_main`, which talks to the scheduler over a pipe).
+(dispatched by :class:`~repro.core.parallel.ProcessTaskPool`).
 
 The produced **record** is self-describing and store-ready::
 
@@ -32,7 +32,7 @@ from repro.obs import runtime as obs
 from repro.service.jobs import AnalysisJob, resolve_analysis
 from repro.service.store import RESULT_SCHEMA
 
-__all__ = ["execute_job", "build_record", "worker_main"]
+__all__ = ["execute_job", "build_record"]
 
 #: Set in pool worker processes; gates the fault-injection hooks.
 _WORKER_ENV = "SPLLIFT_WORKER"
@@ -147,24 +147,3 @@ def build_record(job: AnalysisJob, results, solve_seconds: float) -> Dict[str, o
         "solve_seconds": round(solve_seconds, 6),
     }
 
-
-def worker_main(job: AnalysisJob, connection) -> None:
-    """Pool-worker entry point: run the job, ship the outcome back.
-
-    Sends ``("ok", record)`` or ``("error", message)``; a worker that
-    dies without sending anything is what the scheduler classifies as a
-    crash (and retries).
-    """
-    os.environ[_WORKER_ENV] = "1"
-    try:
-        record = execute_job(job)
-    except BaseException as error:  # noqa: BLE001 — ship, don't swallow
-        try:
-            connection.send(("error", f"{type(error).__name__}: {error}"))
-        finally:
-            connection.close()
-        return
-    try:
-        connection.send(("ok", record))
-    finally:
-        connection.close()

@@ -54,8 +54,8 @@ class TestBddCodec:
 
     def test_round_trip_fresh_system(self):
         """A receiver with no declared variables reconstructs the same
-        functions (its render order may differ — the parallel solver
-        pre-declares variables so it never does, see LiftedProblem)."""
+        functions (its render order may differ — a lifted problem
+        pre-declares its variables so it never does, see LiftedProblem)."""
         sender = BddConstraintSystem()
         a, b = sender.var("A"), sender.var("B")
         document = encode_constraints(sender, [a & ~b, a | b])
@@ -65,8 +65,9 @@ class TestBddCodec:
         assert decoded[1] == receiver.var("A") | receiver.var("B")
 
     def test_round_trip_predeclared_receiver_renders_identically(self):
-        """With the sender's declaration order replayed first (what the
-        parallel solve guarantees), even the strings match."""
+        """With the sender's declaration order replayed first (what
+        LiftedProblem's up-front declaration guarantees for summary
+        records), even the strings match."""
         sender = BddConstraintSystem()
         a, b = sender.var("A"), sender.var("B")
         batch = [a & ~b, a | b]

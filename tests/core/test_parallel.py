@@ -1,4 +1,4 @@
-"""Tests for the parallel solve layer (pool engine + partitioned solve).
+"""Tests for the process fan-out layer (worker count resolution + pool).
 
 The pool tests use module-level targets that only misbehave inside a
 worker process (gated on the ``SPLLIFT_WORKER`` env var set by
@@ -10,22 +10,8 @@ import os
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro.analyses import (
-    PossibleTypesAnalysis,
-    TaintAnalysis,
-    UninitializedVariablesAnalysis,
-)
-from repro.core import SPLLift
-from repro.core.parallel import (
-    PARALLEL_ENV,
-    ProcessTaskPool,
-    resolve_parallel,
-    solve_lifted_parallel,
-)
-from repro.spl.examples import device_spl, figure1_with_model
-from repro.spl.generator import SubjectSpec, generate_subject
+from repro.core.parallel import PARALLEL_ENV, ProcessTaskPool, resolve_parallel
 
 
 def _square(value):
@@ -138,79 +124,3 @@ class TestProcessTaskPool:
         with pytest.raises(ValueError, match="max_retries"):
             ProcessTaskPool(max_retries=-1)
 
-
-def _lift(product_line, analysis_class):
-    return SPLLift(
-        analysis_class(product_line.icfg),
-        feature_model=product_line.feature_model,
-    )
-
-
-class TestSolveParallel:
-    @pytest.mark.parametrize("builder", (figure1_with_model, device_spl))
-    @pytest.mark.parametrize(
-        "analysis_class", (UninitializedVariablesAnalysis, PossibleTypesAnalysis)
-    )
-    def test_parallel_digest_matches_sequential(self, builder, analysis_class):
-        product_line = builder()
-        sequential = _lift(product_line, analysis_class).solve()
-        parallel = _lift(product_line, analysis_class).solve(parallel=3)
-        assert parallel.result_digest() == sequential.result_digest()
-        assert parallel.result_lines() == sequential.result_lines()
-
-    def test_parallel_stats_report_partitions(self):
-        product_line = device_spl()
-        results = _lift(product_line, UninitializedVariablesAnalysis).solve(
-            parallel=3
-        )
-        assert results.stats["parallel_partitions"] >= 2
-        assert results.stats["parallel_workers"] >= 1
-
-    def test_sequential_stats_report_one_worker(self):
-        product_line = device_spl()
-        results = _lift(product_line, UninitializedVariablesAnalysis).solve()
-        assert results.stats["parallel_workers"] == 1
-        assert results.stats["parallel_partitions"] == 1
-
-    def test_single_seed_unit_falls_back(self):
-        """Taint seeds only the 0-fact: nothing to partition, so the
-        parallel layer declines and the sequential path answers."""
-        product_line = figure1_with_model()
-        spllift = _lift(product_line, TaintAnalysis)
-        assert (
-            solve_lifted_parallel(spllift, workers=4) is None
-        )
-        results = _lift(product_line, TaintAnalysis).solve(parallel=4)
-        sequential = _lift(product_line, TaintAnalysis).solve()
-        assert results.result_digest() == sequential.result_digest()
-        assert results.stats["parallel_workers"] == 1
-
-    def test_env_default_enables_parallelism(self, monkeypatch):
-        monkeypatch.setenv(PARALLEL_ENV, "2")
-        product_line = device_spl()
-        via_env = _lift(product_line, UninitializedVariablesAnalysis).solve()
-        monkeypatch.delenv(PARALLEL_ENV)
-        sequential = _lift(product_line, UninitializedVariablesAnalysis).solve()
-        assert via_env.result_digest() == sequential.result_digest()
-        assert via_env.stats["parallel_partitions"] >= 2
-
-    @given(seed=st.integers(0, 10_000))
-    @settings(max_examples=5, deadline=None)
-    def test_generated_spls_parallel_equals_sequential(self, seed):
-        spec = SubjectSpec(
-            name=f"par-{seed}",
-            seed=seed,
-            classes=4,
-            methods_per_class=(2, 3),
-            statements_per_method=(3, 6),
-            annotation_density=0.4,
-            entry_fanout=4,
-            reachable_features=("A", "B", "C"),
-            dead_features=("DX",),
-        )
-        product_line = generate_subject(spec)
-        sequential = _lift(product_line, UninitializedVariablesAnalysis).solve()
-        parallel = _lift(product_line, UninitializedVariablesAnalysis).solve(
-            parallel=2
-        )
-        assert parallel.result_digest() == sequential.result_digest()

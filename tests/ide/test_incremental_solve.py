@@ -20,7 +20,7 @@ from repro.spl.edits import EDIT_LOCAL, edited_product_line
 ANALYSIS_CLASSES = [cls for _, cls in PAPER_ANALYSES]
 
 
-def _solve(product_line, analysis_cls, store=None, **kwargs):
+def _solve(product_line, analysis_cls, store=None):
     spllift = SPLLift(
         analysis_cls(product_line.icfg),
         feature_model=product_line.feature_model,
@@ -28,7 +28,7 @@ def _solve(product_line, analysis_cls, store=None, **kwargs):
     summaries = (
         summary_cache_for(spllift, store) if store is not None else None
     )
-    return spllift.solve(summaries=summaries, **kwargs)
+    return spllift.solve(summaries=summaries)
 
 
 @pytest.fixture()
@@ -167,13 +167,3 @@ class TestIsolationAndFailOpen:
         assert armed.stats["summaries_reused"] == 0
         assert armed.stats["summaries_recomputed"] == 0
         assert list(store.iter_records()) == []  # nothing harvested
-
-    def test_armed_solve_forces_sequential(self, store):
-        """``parallel`` is ignored when summaries are armed — injection
-        rewires one solver's tables and does not compose with the
-        by-seed partitioning."""
-        analysis_cls = ANALYSIS_CLASSES[0]
-        cold = _solve(gpl_mini(), analysis_cls)
-        warm = _solve(gpl_mini(), analysis_cls, store, parallel=2)
-        assert warm.stats["parallel_workers"] == 1
-        assert warm.result_digest() == cold.result_digest()

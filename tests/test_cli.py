@@ -1,8 +1,16 @@
 """Tests for the ``spllift`` command-line tool."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import main
+from repro.featuremodel import render_feature_model
+from repro.spl.benchmarks import gpl_like
 from repro.spl.examples import FIGURE1_SOURCE
 
 FM_TEXT = """
@@ -142,23 +150,52 @@ class TestAnalyze:
         assert rc == 1
         assert capsys.readouterr().out == default_out
 
-    def test_parallel_flag_keeps_findings(self, tmp_path, capsys):
+    def test_bad_worklist_order_rejected(self, spl_file, capsys):
+        with pytest.raises(SystemExit):
+            main(["analyze", spl_file, "--analysis", "taint", "--worklist-order", "xyz"])
+
+    def test_parallel_env_leaves_single_solve_alone(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """$SPLLIFT_PARALLEL sizes job fan-out only: one analysis is one
+        in-process solve, with the same findings and the same counters."""
         source = tmp_path / "uninit.mj"
         source.write_text(
             "class Main { void main() { int u; int v;\n#ifdef (Init)\nu = 1;\n"
             "#endif\nv = 2;\nprint(u); print(v); } }"
         )
-        rc = main(["analyze", str(source), "--analysis", "uninit"])
-        sequential_out = capsys.readouterr().out
-        parallel_rc = main(
-            ["analyze", str(source), "--analysis", "uninit", "--parallel", "2"]
-        )
-        assert parallel_rc == rc
-        assert capsys.readouterr().out == sequential_out
+        argv = ["analyze", str(source), "--analysis", "uninit", "--stats"]
+        monkeypatch.delenv("SPLLIFT_PARALLEL", raising=False)
+        rc = main(argv)
+        sequential = capsys.readouterr()
+        monkeypatch.setenv("SPLLIFT_PARALLEL", "4")
+        assert main(argv) == rc
+        assert capsys.readouterr() == sequential
 
-    def test_bad_worklist_order_rejected(self, spl_file, capsys):
-        with pytest.raises(SystemExit):
-            main(["analyze", spl_file, "--analysis", "taint", "--worklist-order", "xyz"])
+
+class TestAnalyzeOutputOrder:
+    @pytest.mark.parametrize("analysis", ("types", "rd"))
+    def test_stdout_independent_of_hash_seed(self, tmp_path, analysis):
+        """The informational analyses list every fact at method exits;
+        the listing must not follow set iteration order, which
+        PYTHONHASHSEED permutes from one process to the next."""
+        product_line = gpl_like()
+        source = tmp_path / "gpl.mj"
+        source.write_text(product_line.source)
+        model = tmp_path / "gpl.fm"
+        model.write_text(render_feature_model(product_line.feature_model))
+        src_root = str(Path(repro.__file__).resolve().parent.parent)
+        argv = [
+            sys.executable, "-m", "repro.cli", "analyze", str(source),
+            "--feature-model", str(model), "--analysis", analysis,
+        ]
+        stdouts = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src_root)
+            done = subprocess.run(argv, capture_output=True, env=env, timeout=120)
+            assert done.returncode == 1, done.stderr.decode()
+            stdouts.append(done.stdout)
+        assert stdouts[0] == stdouts[1]
 
 
 class TestEngineFlag:
@@ -218,53 +255,6 @@ class TestEngineFlag:
         assert err.startswith("spllift: error: ")
         assert "--incremental-cache" in err
         assert len(err.strip().splitlines()) == 1
-
-    def test_incremental_cache_parallel_warns_and_reports_one_worker(
-        self, spl_file, tmp_path, capsys
-    ):
-        """--parallel with --incremental-cache must not silently downgrade."""
-        rc = main(
-            [
-                "analyze",
-                spl_file,
-                "--analysis",
-                "taint",
-                "--incremental-cache",
-                str(tmp_path / "inc.db"),
-                "--parallel",
-                "2",
-                "--stats",
-            ]
-        )
-        assert rc in (0, 1)
-        captured = capsys.readouterr()
-        warnings = [
-            line
-            for line in captured.err.splitlines()
-            if line.startswith("spllift: warning: ")
-        ]
-        assert len(warnings) == 1
-        assert "ignoring parallel=2" in warnings[0]
-        assert "parallel_workers: 1" in captured.out
-
-    def test_datalog_parallel_warns(self, spl_file, capsys):
-        rc = main(
-            [
-                "analyze",
-                spl_file,
-                "--analysis",
-                "taint",
-                "--engine",
-                "datalog",
-                "--parallel",
-                "2",
-                "--stats",
-            ]
-        )
-        assert rc in (0, 1)
-        captured = capsys.readouterr()
-        assert "datalog engine is sequential" in captured.err
-        assert "parallel_workers: 1" in captured.out
 
 
 class TestRun:
@@ -447,10 +437,6 @@ class TestTelemetry:
             assert all(frame for frame in stack.split(";"))
         assert any(line.startswith("spllift/solve;") for line in lines)
         # The folded file passes the format gate in scripts/check_trace.py.
-        import subprocess
-        import sys
-        from pathlib import Path
-
         folded_path = tmp_path / "trace.folded"
         folded_path.write_text(out)
         script = Path(__file__).resolve().parents[1] / "scripts" / "check_trace.py"
