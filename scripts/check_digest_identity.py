@@ -21,11 +21,12 @@ tabulation reference — the cross-checking gate behind ``repro.datalog``.
 ``--telemetry`` re-solves with tracing and metrics enabled and requires
 the digests to stay bit-identical — the gate behind ``repro.obs``:
 observing the solver must never change what it computes.
-``--obs`` extends that gate to the full observability stack: one pass
-with the flight recorder and a structured event log armed, and one pass
-through a served HTTP store with a run id set (so trace-context
-propagation headers ride every request) — all digests must stay
-bit-identical to the bare reference.
+``--obs`` extends that gate to the full observability stack: one
+in-process pass from a fresh flight ring, and one batch pass through a
+served HTTP store with a run id set (so trace-context propagation
+headers ride every request) and the structured event log armed — all
+digests must stay bit-identical to the bare reference, and every batch
+job must leave a ``job.done`` log line.
 ``--backends`` routes the paper campaign through the batch scheduler
 against a sqlite store and a served HTTP store, asserting (a) the
 computed result digests match the direct-solve reference and (b) a
@@ -166,29 +167,25 @@ def check_obs(reference: dict, order: str, seed: int) -> int:
 
     Two passes, both of which must be invisible in the results:
 
-    1. flight recorder + structured event log armed (``enable_flight``
-       + ``enable_log``), all 12 combinations re-solved in process;
-    2. the paper campaign run against a served HTTP store with a run id
-       set, so every store request carries the
+    1. flight ring only (the always-on default), all 12 combinations
+       re-solved in process from a fresh ring — direct ``SPLLift.solve``
+       calls emit no log events, so this pass arms no log;
+    2. the paper campaign run as a batch against a served HTTP store
+       with a run id set, so every store request carries the
        ``X-SPLLIFT-Run-Id``/``X-SPLLIFT-Parent-Span`` propagation
-       headers and the server opens correlated request spans.
+       headers and the server opens correlated request spans, with the
+       structured event log armed; a job without a ``job.done`` line
+       counts as a failure.
     """
     from repro.service import make_server, open_store, run_batch
 
     failures = 0
     with tempfile.TemporaryDirectory(prefix="spllift-obs-") as tmp:
-        log_path = Path(tmp) / "events.jsonl"
         obs.reset()
-        obs.enable_flight()
-        obs.enable_log(log_path)
         try:
             observed = compute_digests(order, seed)
         finally:
             flight_events = len(obs.flight().events())
-            log_lines = sum(
-                1 for line in log_path.read_text().splitlines() if line
-            )
-            obs.disable_log()
             obs.reset()
         observed_failures = 0
         for key, digest in observed.items():
@@ -200,8 +197,8 @@ def check_obs(reference: dict, order: str, seed: int) -> int:
                 )
         failures += observed_failures
         print(
-            f"{len(observed)} digests with flight recorder + event log "
-            f"armed ({flight_events} ring events, {log_lines} log lines): "
+            f"{len(observed)} digests with the flight ring only "
+            f"({flight_events} ring events): "
             + (
                 "all identical to bare"
                 if not observed_failures
@@ -230,11 +227,18 @@ def check_obs(reference: dict, order: str, seed: int) -> int:
         finally:
             server.shutdown()
             thread.join(timeout=5)
-            batch_log_lines = sum(
-                1 for line in batch_log.read_text().splitlines() if line
-            )
+            log_records = [
+                json.loads(line)
+                for line in batch_log.read_text().splitlines()
+                if line
+            ]
             obs.disable_log()
             obs.reset()
+        done = {
+            record.get("digest")
+            for record in log_records
+            if record.get("event") == "job.done"
+        }
         for outcome in report.outcomes:
             key = f"{outcome.job.label}/{outcome.job.analysis}"
             expected = reference.get(key)
@@ -245,15 +249,19 @@ def check_obs(reference: dict, order: str, seed: int) -> int:
                     f"{str(outcome.result_digest)[:16]}… vs "
                     f"{str(expected)[:16]}…"
                 )
+            if outcome.job.digest[:12] not in done:
+                propagated_failures += 1
+                print(f"OBS LOG MISSING job.done for {key}")
         failures += propagated_failures
         print(
             f"{len(report.outcomes)} digests via HTTP store with "
             f"trace-context propagation (run {run[:8]}…, "
-            f"{batch_log_lines} log lines): "
+            f"{len(log_records)} log lines, "
+            f"{len(done)} job.done): "
             + (
                 "all identical to bare"
                 if not propagated_failures
-                else f"{propagated_failures} mismatches"
+                else f"{propagated_failures} failures"
             )
         )
     return failures
@@ -346,9 +354,10 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--obs",
         action="store_true",
-        help="also solve with the flight recorder and event log armed, "
-        "and run the campaign through a served HTTP store with "
-        "trace-context propagation headers, requiring identical digests",
+        help="also re-solve from a fresh flight ring, and run the "
+        "campaign through a served HTTP store with trace-context "
+        "propagation headers and the event log armed, requiring "
+        "identical digests and a job.done log line per job",
     )
     parser.add_argument(
         "--backends",

@@ -1,10 +1,12 @@
 #!/usr/bin/env python
 """Diff two ``--metrics`` JSON snapshots and fail on counter drift.
 
-``BENCH_solver.json`` tracks wall time; this script is the equivalent
-gate for the *work* counters behind it — jump-function blowup, BDD node
-or apply-miss explosions show up here even when a fast machine hides
-them from the timing numbers.
+``perfbench/run.py`` tracks wall time; this script gates the *work*
+counters behind it — jump-function blowup, BDD node or apply-miss
+explosions show up here even when a fast machine hides them from the
+timing numbers.  CI feeds it the counter snapshot of
+``benchmarks/bench_solver.py`` and the ``--metrics`` reports of the
+fleet and incremental smoke runs.
 
 Counters and gauges present in both snapshots are compared by relative
 drift ``(current - baseline) / baseline``; histograms by their

@@ -55,6 +55,9 @@ from repro.datalog import resolve_engine
 from repro.ide.solver import WORKLIST_ORDERS
 from repro.featuremodel import FeatureModel, FeatureModelError, parse_feature_model
 from repro.interp import Interpreter
+from repro.ir.lowering import LoweringError
+from repro.ir.program import IRError
+from repro.minijava.lexer import LexError
 from repro.minijava.parser import ParseError
 from repro.obs import runtime as obs
 from repro.obs.flight import load_flight_dump, render_postmortem
@@ -881,7 +884,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         code = args.handler(args)
         _telemetry_end(args)
         return code
-    except (ServiceError, FeatureModelError, ParseError) as error:
+    except (
+        ServiceError,
+        FeatureModelError,
+        LexError,
+        ParseError,
+        LoweringError,
+        IRError,
+    ) as error:
         print(f"spllift: error: {error}", file=sys.stderr)
         return 2
     except OSError as error:

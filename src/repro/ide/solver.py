@@ -315,7 +315,7 @@ class IDESolver(Generic[D, V]):
         fifo = self._order == "fifo"
         use_heap = self._use_heap
         progress = obs.progress()
-        flight = obs.flight() if obs.flight_enabled() else None
+        flight = obs.flight()
         tick = 0
         while worklist:
             # Live progress and flight pulses, masked to one pop in ~1k
@@ -325,14 +325,13 @@ class IDESolver(Generic[D, V]):
             # worklist stood in its final moments.
             tick += 1
             if (tick & 255) == 0:
-                if flight is not None:
-                    flight.record(
-                        "pulse",
-                        "ide/phase1",
-                        pops=tick,
-                        worklist=len(worklist),
-                        jumps=self.stats["jump_functions"],
-                    )
+                flight.record(
+                    "pulse",
+                    "ide/phase1",
+                    pops=tick,
+                    worklist=len(worklist),
+                    jumps=self.stats["jump_functions"],
+                )
                 if (tick & 1023) == 0 and progress is not None:
                     progress.tick(
                         "ide/phase1",

@@ -118,7 +118,10 @@ def _tokens(source: str) -> Iterator[Token]:
             end = source.find("*/", pos + 2)
             if end == -1:
                 raise LexError(f"unterminated block comment at line {line}")
-            line += source.count("\n", pos, end)
+            newlines = source.count("\n", pos, end)
+            if newlines:
+                line += newlines
+                line_start = source.rfind("\n", pos, end) + 1
             pos = end + 2
             continue
         column = pos - line_start + 1

@@ -31,17 +31,14 @@ from repro.obs.runtime import (
     TELEMETRY_ENV,
     absorb_payload,
     activate_worker,
-    disable_flight,
     disable_log,
     disable_tracing,
-    enable_flight,
     enable_log,
     enable_tracing,
     ensure_run_id,
     event_log,
     flight,
     flight_dump,
-    flight_enabled,
     log_event,
     metrics,
     progress,
@@ -90,17 +87,14 @@ __all__ = [
     "format_line",
     "absorb_payload",
     "activate_worker",
-    "disable_flight",
     "disable_log",
     "disable_tracing",
-    "enable_flight",
     "enable_log",
     "enable_tracing",
     "ensure_run_id",
     "event_log",
     "flight",
     "flight_dump",
-    "flight_enabled",
     "log_event",
     "metrics",
     "progress",

@@ -5,8 +5,10 @@ begin/end, instant, counter publication and log line that flows through
 ``repro.obs`` also lands here — in a fixed-capacity ring buffer whose
 append is one deque operation, so the always-on cost rides the same
 "phase boundaries only, never per propagation" discipline the tracer
-established (bench-gated <2%, ``obs_overhead/.../flight_*`` rows in
-``benchmarks/bench_solver.py``).
+established.  A lifted tabulation solve records 6 span begin/end pairs,
+one ``counters`` event and one ``pulse`` per 256 worklist pops — a
+budget ``tests/obs/test_flight.py`` pins deterministically, because an
+armed-vs-disarmed wall-clock A/B cannot resolve a cost this small.
 
 When something dies, the ring is what's left.  Three exit paths produce
 a ``spllift-flight/v1`` **dump**:

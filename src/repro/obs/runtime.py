@@ -4,9 +4,9 @@ One process holds one :class:`~repro.obs.metrics.MetricsRegistry`
 (always on — recording a counter is a dict update, and only at phase
 boundaries, store operations and pool events, never per propagation),
 one always-on :class:`~repro.obs.flight.FlightRecorder` (the bounded
-ring a postmortem reads — <2% overhead, bench-gated), one tracer (a
-:class:`~repro.obs.flight.FlightTracer` feeding only the ring until
-tracing is explicitly enabled) and optionally one
+ring a postmortem reads; :mod:`repro.obs.flight` states its event
+budget), one tracer (a :class:`~repro.obs.flight.FlightTracer` feeding
+only the ring until tracing is explicitly enabled) and optionally one
 :class:`~repro.obs.log.EventLog` (``--log FILE`` / ``$SPLLIFT_LOG``).
 
 Cross-process flow (``repro.core.parallel`` workers and scheduler jobs):
@@ -43,7 +43,7 @@ from repro.obs.flight import (
 from repro.obs.log import LOG_ENV, EventLog
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.progress import ProgressReporter
-from repro.obs.trace import NULL_TRACER, Tracer
+from repro.obs.trace import Tracer
 
 __all__ = [
     "RUN_ID_ENV",
@@ -55,13 +55,10 @@ __all__ = [
     "flight_dump",
     "event_log",
     "tracing_enabled",
-    "flight_enabled",
     "run_id",
     "ensure_run_id",
     "enable_tracing",
     "disable_tracing",
-    "enable_flight",
-    "disable_flight",
     "enable_log",
     "disable_log",
     "log_event",
@@ -88,14 +85,12 @@ class _ObsState:
         "tracer",
         "progress",
         "flight",
-        "flight_on",
         "log",
     )
 
     def __init__(self) -> None:
         self.metrics = MetricsRegistry()
         self.flight = FlightRecorder()
-        self.flight_on = True
         self.tracer = FlightTracer(self.flight)
         self.progress: Optional[ProgressReporter] = None
         self.log: Optional[EventLog] = None
@@ -138,10 +133,6 @@ def tracing_enabled() -> bool:
     return _state.tracer.enabled
 
 
-def flight_enabled() -> bool:
-    return _state.flight_on
-
-
 def run_id() -> Optional[str]:
     """The campaign run id, if one has been established."""
     return os.environ.get(RUN_ID_ENV) or None
@@ -165,39 +156,14 @@ def enable_tracing() -> Tracer:
     """Install a recording tracer (idempotent) and mark the environment
     so worker processes activate tracing too."""
     if not isinstance(_state.tracer, Tracer):
-        _state.tracer = Tracer(
-            run_id=ensure_run_id(),
-            flight=_state.flight if _state.flight_on else None,
-        )
+        _state.tracer = Tracer(run_id=ensure_run_id(), flight=_state.flight)
         os.environ[TELEMETRY_ENV] = "1"
     return _state.tracer
 
 
 def disable_tracing() -> None:
-    _state.tracer = (
-        FlightTracer(_state.flight) if _state.flight_on else NULL_TRACER
-    )
+    _state.tracer = FlightTracer(_state.flight)
     os.environ.pop(TELEMETRY_ENV, None)
-
-
-def enable_flight() -> FlightRecorder:
-    """(Re-)arm the always-on flight ring (the default state)."""
-    if not _state.flight_on:
-        _state.flight_on = True
-        if isinstance(_state.tracer, Tracer):
-            _state.tracer.flight = _state.flight
-        else:
-            _state.tracer = FlightTracer(_state.flight)
-    return _state.flight
-
-
-def disable_flight() -> None:
-    """Disarm flight recording (the bench A/B baseline, nothing else)."""
-    _state.flight_on = False
-    if isinstance(_state.tracer, Tracer):
-        _state.tracer.flight = None
-    else:
-        _state.tracer = NULL_TRACER
 
 
 def enable_log(path) -> EventLog:
@@ -219,11 +185,11 @@ def disable_log() -> None:
 def log_event(event: str, level: str = "info", **fields) -> None:
     """Emit one structured event — to the log file (when configured)
     and, span-correlated, into the flight ring (always)."""
-    span = _state.flight.current_span() if _state.flight_on else None
     if _state.log is not None:
-        _state.log.event(event, level=level, span=span, **fields)
-    if _state.flight_on:
-        _state.flight.record("log", event, level=level, **fields)
+        _state.log.event(
+            event, level=level, span=_state.flight.current_span(), **fields
+        )
+    _state.flight.record("log", event, level=level, **fields)
 
 
 def set_progress(reporter: Optional[ProgressReporter]) -> None:
@@ -238,7 +204,6 @@ def reset() -> None:
         _state.log.close()
     _state.metrics = MetricsRegistry()
     _state.flight = FlightRecorder()
-    _state.flight_on = True
     _state.tracer = FlightTracer(_state.flight)
     _state.progress = None
     _state.log = None
@@ -265,8 +230,7 @@ def publish_stats(prefix: str, stats: Dict[str, object]) -> None:
         if isinstance(value, bool) or not isinstance(value, int):
             continue
         inc(f"{prefix}.{name}", value)
-    if _state.flight_on:
-        _state.flight.note_counters(prefix, stats)
+    _state.flight.note_counters(prefix, stats)
 
 
 # ----------------------------------------------------------------------
@@ -296,7 +260,6 @@ def activate_worker() -> None:
         else None
     )
     _state.flight = FlightRecorder(spill_path=spill_path)
-    _state.flight_on = True
     if os.environ.get(TELEMETRY_ENV) == "1":
         _state.tracer = Tracer(run_id=run_id(), flight=_state.flight)
     else:

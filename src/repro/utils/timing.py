@@ -1,24 +1,18 @@
-"""Duration formatting in the paper's Table 2/3 style, plus measurement
-helpers shared by the benchmark harness.
+"""Duration and count formatting in the paper's Table 2/3 style.
 
 The paper prints "4s", "2m06s", "9h03m39s" for measured values and coarse
-"days" / "years" prognoses for estimates beyond the cutoff.
+"days" / "years" prognoses for estimates beyond the cutoff.  Nothing here
+measures time: the experiment runners time their own cells, and the
+repository benchmark (``perfbench/run.py``) times whole commands.
 """
 
 from __future__ import annotations
-
-import time
-from typing import Callable, Dict, List, Optional, TypeVar
 
 __all__ = [
     "format_duration",
     "format_estimate",
     "format_count",
-    "Stopwatch",
-    "best_of",
 ]
-
-T = TypeVar("T")
 
 _MINUTE = 60.0
 _HOUR = 3600.0
@@ -53,58 +47,6 @@ def format_estimate(seconds: float) -> str:
         return f"≈{days:.0f} days"
     years = seconds / _YEAR
     return f"≈{years:.0f} years"
-
-
-class Stopwatch:
-    """A restartable wall-clock stopwatch (``perf_counter``-based).
-
-    Usable as a context manager; ``elapsed`` is valid both while running
-    and after exit.  Used by ``benchmarks/bench_solver.py`` so every
-    harness mode times the same way.
-    """
-
-    def __init__(self) -> None:
-        self._started: Optional[float] = None
-        self.elapsed: float = 0.0
-
-    def __enter__(self) -> "Stopwatch":
-        self._started = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
-    def stop(self) -> float:
-        if self._started is not None:
-            self.elapsed = time.perf_counter() - self._started
-            self._started = None
-        return self.elapsed
-
-
-def best_of(
-    fn: Callable[[], T], rounds: int = 3
-) -> Dict[str, object]:
-    """Run ``fn`` ``rounds`` times; report min/mean wall time and the last
-    return value.
-
-    Minimum-of-N is the standard noise-rejection protocol for
-    micro-benchmarks (the fastest round is the one least disturbed by the
-    OS); the mean is reported alongside for context.
-    """
-    if rounds < 1:
-        raise ValueError(f"rounds must be >= 1, got {rounds}")
-    times: List[float] = []
-    result: T = None  # type: ignore[assignment]
-    for _ in range(rounds):
-        with Stopwatch() as watch:
-            result = fn()
-        times.append(watch.elapsed)
-    return {
-        "min_seconds": min(times),
-        "mean_seconds": sum(times) / len(times),
-        "rounds": rounds,
-        "result": result,
-    }
 
 
 def format_count(value: int) -> str:

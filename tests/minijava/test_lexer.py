@@ -43,6 +43,18 @@ class TestLexer:
         tokens = tokenize("a /* multi\nline */ b")
         assert [t.text for t in tokens[:-1]] == ["a", "b"]
 
+    def test_columns_after_multiline_block_comment(self):
+        tokens = tokenize("/* a\n b */ x = 1;")
+        assert [(t.text, t.line, t.column) for t in tokens[:2]] == [
+            ("x", 2, 7),
+            ("=", 2, 9),
+        ]
+
+    def test_lex_error_column_after_multiline_block_comment(self):
+        source = "int a;\n/* one\n two\n */ int y = 1 @ 2;"
+        with pytest.raises(LexError, match="line 4, column 15"):
+            tokenize(source)
+
     def test_unterminated_block_comment(self):
         with pytest.raises(LexError):
             tokenize("a /* never closed")

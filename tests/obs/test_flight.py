@@ -4,9 +4,15 @@ the snapshot path."""
 
 import json
 import threading
+from collections import Counter
 
 import pytest
 
+from repro.analyses import (
+    ReachingDefinitionsAnalysis,
+    UninitializedVariablesAnalysis,
+)
+from repro.core import SPLLift
 from repro.obs import runtime as obs
 from repro.obs.flight import (
     FLIGHT_SCHEMA,
@@ -17,6 +23,8 @@ from repro.obs.flight import (
     render_postmortem,
 )
 from repro.obs.trace import NullTracer, Tracer
+from repro.spl.benchmarks import gpl_like
+from repro.spl.examples import figure1_with_model
 
 
 class TestRing:
@@ -167,6 +175,39 @@ class TestFlightTracer:
         ]
 
 
+class TestRingBudget:
+    """The always-on ring stays cheap because a lifted solve records
+    once per phase and once per 256 worklist pops — never once per
+    propagation.  This pins that budget deterministically, where a
+    timing gate could not resolve it."""
+
+    @pytest.mark.parametrize(
+        "build, analysis",
+        [
+            (figure1_with_model, UninitializedVariablesAnalysis),
+            (gpl_like, ReachingDefinitionsAnalysis),
+        ],
+        ids=["figure1-uninit", "gpl-like-rd"],
+    )
+    def test_lifted_solve_records_phases_and_pulses_only(
+        self, build, analysis
+    ):
+        product_line = build()
+        SPLLift(
+            analysis(product_line.icfg),
+            feature_model=product_line.feature_model,
+        ).solve()
+        events = obs.flight().events()
+        assert events[0]["seq"] == 1  # nothing fell off the ring
+        pulses = [e["pops"] for e in events if e["kind"] == "pulse"]
+        phases = Counter(e["kind"] for e in events if e["kind"] != "pulse")
+        # spllift/solve, ide/solve, phase I, phase II values/i/ii.
+        assert phases == {"span_begin": 6, "span_end": 6, "counters": 1}
+        assert pulses == [256 * k for k in range(1, len(pulses) + 1)]
+        if build is gpl_like:
+            assert pulses  # the solve is long enough to pulse
+
+
 class TestLoadFlightDump:
     def test_raw_dump_file(self, tmp_path):
         recorder = FlightRecorder(capacity=8)
@@ -248,8 +289,7 @@ class TestRenderPostmortem:
 class TestGaugeMergeUnderSnapshot:
     """Gauge merge semantics when the flight ring observes the same
     ``publish_stats`` traffic that feeds the registry: the ring is a
-    read-only mirror, so merge results must be exactly what they'd be
-    with flight recording off."""
+    read-only mirror, so it must leave merge results untouched."""
 
     def test_publish_stats_feeds_ring_without_touching_gauges(self):
         obs.publish_stats("ide", {"jumps": 3, "worklist_order": "rpo"})
@@ -261,7 +301,7 @@ class TestGaugeMergeUnderSnapshot:
         assert counter_events[-1]["counters"] == {"ide.jumps": 3}
 
     def test_worker_gauges_merge_via_max_with_flight_on(self):
-        assert obs.flight_enabled()
+        assert isinstance(obs.tracer(), FlightTracer)  # the ring observes
         obs.metrics().gauge("pool.peak_rss", 100.0)
         for peak in (300.0, 200.0):  # arrival order must not matter
             obs.absorb_payload({

@@ -388,6 +388,26 @@ class TestCleanErrors:
         rc = main(["analyze", str(source), "--feature-model", str(fm)])
         self._check(capsys, rc)
 
+    @pytest.mark.parametrize(
+        "source, extra",
+        [
+            ("class Main { void main() { int y = 1 @ 2; } }", []),
+            ("class Main { void main() { int y = zz; } }", []),
+            (FIGURE1_SOURCE, ["--entry", "Nope.main"]),
+        ],
+        ids=["lex", "undeclared-local", "unknown-entry-class"],
+    )
+    @pytest.mark.parametrize(
+        "command",
+        [["analyze"], ["run"], ["metrics"], ["interfaces", "--feature", "F"]],
+        ids=["analyze", "run", "metrics", "interfaces"],
+    )
+    def test_frontend_error(self, tmp_path, capsys, command, source, extra):
+        path = tmp_path / "input.mj"
+        path.write_text(source)
+        rc = main([*command, str(path), *extra])
+        self._check(capsys, rc)
+
     def test_batch_missing_manifest(self, capsys):
         rc = main(["batch", "no-such-manifest.json"])
         self._check(capsys, rc)
