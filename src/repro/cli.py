@@ -301,21 +301,21 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
+    # Everything that can fail runs before the first print, so a frontend
+    # error leaves stdout empty instead of a truncated report.
     product_line = _load_product_line(args)
+    icfg = product_line.icfg
+    reachable = product_line.features_reachable
+    valid = product_line.count_valid_configurations()
     print(f"file:                     {args.file}")
     print(f"KLOC:                     {product_line.kloc:.2f}")
     print(f"features (total):         {product_line.features_total}")
-    reachable = product_line.features_reachable
     print(f"features (reachable):     {len(reachable)}: {', '.join(reachable)}")
     print(
         "configurations (reachable): "
         f"{format_count(product_line.configurations_reachable)}"
     )
-    print(
-        "configurations (valid):     "
-        f"{format_count(product_line.count_valid_configurations())}"
-    )
-    icfg = product_line.icfg
+    print(f"configurations (valid):     {format_count(valid)}")
     print(f"reachable methods:        {len(icfg.reachable_methods)}")
     print(f"reachable statements:     {icfg.instruction_count()}")
     return 0

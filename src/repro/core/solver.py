@@ -31,7 +31,7 @@ from repro.ifds.problem import IFDSProblem, ZERO
 from repro.ir.instructions import Instruction
 from repro.obs import runtime as obs
 
-__all__ = ["SPLLift", "SPLLiftResults"]
+__all__ = ["SPLLift", "SPLLiftResults", "lines_digest"]
 
 D = TypeVar("D", bound=Hashable)
 
@@ -130,20 +130,46 @@ class SPLLiftResults(Generic[D]):
         job — in different processes, on different machines — produce the
         same lines.  This is what the result store persists and what the
         sha256 :meth:`result_digest` is computed over.
+
+        Each distinct constraint, each statement's ``location|statement|``
+        prefix and each fact's ``repr`` is rendered once per call: equal
+        constraints share one handle (one BDD node, one DNF cube set), and
+        a pass holds far fewer of them than lines.  The memos live only
+        for the call, and rendering creates no BDD nodes, so no variable
+        reordering (which changes how a constraint renders) can happen
+        while they are in use.
         """
+        prefixes: Dict[Instruction, str] = {}
+        facts: Dict[D, str] = {}
+        constraints: Dict[Constraint, str] = {}
         lines = []
         for (stmt, fact), constraint in self._ide.items():
             if constraint.is_false:
                 continue
-            lines.append(f"{stmt.location}|{stmt}|{fact!r}|{constraint}")
+            prefix = prefixes.get(stmt)
+            if prefix is None:
+                prefix = prefixes[stmt] = f"{stmt.location}|{stmt}|"
+            rendered_fact = facts.get(fact)
+            if rendered_fact is None:
+                rendered_fact = facts[fact] = repr(fact)
+            rendered = constraints.get(constraint)
+            if rendered is None:
+                rendered = constraints[constraint] = str(constraint)
+            lines.append(f"{prefix}{rendered_fact}|{rendered}")
         lines.sort()
         return lines
 
     def result_digest(self) -> str:
         """sha256 hex digest of :meth:`result_lines` — the bit-identity
         check used by the regression protocol and the warm-cache verify."""
-        payload = "\n".join(self.result_lines()).encode("utf-8")
-        return hashlib.sha256(payload).hexdigest()
+        return lines_digest(self.result_lines())
+
+
+def lines_digest(lines: List[str]) -> str:
+    """sha256 hex digest of canonical result lines, newline-joined: the
+    one definition of a result digest, for callers that already hold
+    the lines (:func:`repro.service.worker.build_record`)."""
+    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
 
 
 class SPLLift(Generic[D]):

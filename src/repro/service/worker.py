@@ -128,7 +128,9 @@ def _execute_job(job: AnalysisJob) -> Dict[str, object]:
 
 
 def build_record(job: AnalysisJob, results, solve_seconds: float) -> Dict[str, object]:
-    """Package solved :class:`SPLLiftResults` as a store record."""
+    """Package solved :class:`SPLLiftResults` as a store record.  The
+    lines are rendered once and the digest is taken over those lines."""
+    from repro.core.solver import lines_digest
     from repro.ifds.problem import ZERO
 
     facts = sum(
@@ -136,12 +138,13 @@ def build_record(job: AnalysisJob, results, solve_seconds: float) -> Dict[str, o
         for (_, fact), constraint in results.items()
         if fact is not ZERO and not constraint.is_false
     )
+    lines = results.result_lines()
     return {
         "schema": RESULT_SCHEMA,
         "digest": job.digest,
         "job": job.describe(),
-        "result_digest": results.result_digest(),
-        "lines": results.result_lines(),
+        "result_digest": lines_digest(lines),
+        "lines": lines,
         "facts": facts,
         "stats": dict(results.stats),
         "solve_seconds": round(solve_seconds, 6),

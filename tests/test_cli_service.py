@@ -369,6 +369,7 @@ class TestCleanErrors:
         assert captured.err.startswith("spllift: error: ")
         assert len(captured.err.strip().splitlines()) == 1
         assert "Traceback" not in captured.err
+        return captured
 
     def test_analyze_missing_file(self, capsys):
         rc = main(["analyze", "no-such-file.mj"])
@@ -406,7 +407,8 @@ class TestCleanErrors:
         path = tmp_path / "input.mj"
         path.write_text(source)
         rc = main([*command, str(path), *extra])
-        self._check(capsys, rc)
+        # No partial report on stdout: the error is the whole output.
+        assert self._check(capsys, rc).out == ""
 
     def test_batch_missing_manifest(self, capsys):
         rc = main(["batch", "no-such-manifest.json"])
