@@ -22,11 +22,12 @@ tabulation reference — the cross-checking gate behind ``repro.datalog``.
 the digests to stay bit-identical — the gate behind ``repro.obs``:
 observing the solver must never change what it computes.
 ``--obs`` extends that gate to the full observability stack: one
-in-process pass from a fresh flight ring, and one batch pass through a
-served HTTP store with a run id set (so trace-context propagation
-headers ride every request) and the structured event log armed — all
-digests must stay bit-identical to the bare reference, and every batch
-job must leave a ``job.done`` log line.
+in-process pass from a fresh flight ring with a progress line drawn to
+memory, and one batch pass through a served HTTP store with a run id
+set (so trace-context propagation headers ride every request) and the
+structured event log armed — all digests must stay bit-identical to the
+bare reference, the progress line must have drawn, and every batch job
+must leave a ``job.done`` log line.
 ``--backends`` routes the paper campaign through the batch scheduler
 against a sqlite store and a served HTTP store, asserting (a) the
 computed result digests match the direct-solve reference and (b) a
@@ -44,6 +45,7 @@ semantic drift between revisions, not just between orders.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 import tempfile
@@ -54,6 +56,8 @@ from repro.analyses import PAPER_ANALYSES
 from repro.core import SPLLift
 from repro.ide.solver import WORKLIST_ORDERS
 from repro.obs import runtime as obs
+from repro.obs.log import iter_log
+from repro.obs.progress import ProgressReporter
 from repro.spl.benchmarks import paper_subjects
 
 
@@ -167,9 +171,13 @@ def check_obs(reference: dict, order: str, seed: int) -> int:
 
     Two passes, both of which must be invisible in the results:
 
-    1. flight ring only (the always-on default), all 12 combinations
-       re-solved in process from a fresh ring — direct ``SPLLift.solve``
-       calls emit no log events, so this pass arms no log;
+    1. flight ring and progress line, all 12 combinations re-solved in
+       process from a fresh ring with a ``ProgressReporter`` drawing
+       every heartbeat to an in-memory stream — so each solve runs the
+       progress path, including the ``bdd_nodes`` hook ``SPLLift.solve``
+       installs; a reporter that drew nothing counts as a failure.
+       Direct ``SPLLift.solve`` calls emit no log events, so this pass
+       arms no log;
     2. the paper campaign run as a batch against a served HTTP store
        with a run id set, so every store request carries the
        ``X-SPLLIFT-Run-Id``/``X-SPLLIFT-Parent-Span`` propagation
@@ -182,6 +190,8 @@ def check_obs(reference: dict, order: str, seed: int) -> int:
     failures = 0
     with tempfile.TemporaryDirectory(prefix="spllift-obs-") as tmp:
         obs.reset()
+        reporter = ProgressReporter(stream=io.StringIO(), interval=0.0)
+        obs.set_progress(reporter)
         try:
             observed = compute_digests(order, seed)
         finally:
@@ -195,10 +205,14 @@ def check_obs(reference: dict, order: str, seed: int) -> int:
                     f"OBS MISMATCH {key}: observed={digest[:16]}… "
                     f"bare={reference[key][:16]}…"
                 )
+        if not reporter.updates:
+            observed_failures += 1
+            print("OBS PROGRESS drew no update")
         failures += observed_failures
         print(
-            f"{len(observed)} digests with the flight ring only "
-            f"({flight_events} ring events): "
+            f"{len(observed)} digests with flight ring and progress "
+            f"({flight_events} ring events, {reporter.updates} progress "
+            "updates): "
             + (
                 "all identical to bare"
                 if not observed_failures
@@ -227,11 +241,7 @@ def check_obs(reference: dict, order: str, seed: int) -> int:
         finally:
             server.shutdown()
             thread.join(timeout=5)
-            log_records = [
-                json.loads(line)
-                for line in batch_log.read_text().splitlines()
-                if line
-            ]
+            log_records = list(iter_log(batch_log))
             obs.disable_log()
             obs.reset()
         done = {

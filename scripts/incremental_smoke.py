@@ -23,9 +23,7 @@ deterministic property of the fixed point, not of timing.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from pathlib import Path
 
 from repro.analyses import PAPER_ANALYSES
 from repro.core import SPLLift
@@ -112,16 +110,8 @@ def main(argv=None) -> int:
             failures += 1
             print(f"  {analysis_name}: FAIL — reuse ratio {ratio:.2f} < 0.8")
 
-    if args.metrics:
-        report = {
-            "schema": "spllift-metrics/v1",
-            "run_id": obs.run_id(),
-            "metrics": obs.metrics().describe(),
-        }
-        Path(args.metrics).write_text(
-            json.dumps(report, indent=1, sort_keys=True) + "\n"
-        )
-        print(f"warm-phase metrics written to {args.metrics}")
+    if args.metrics:  # the warm phase's metrics
+        obs.write_outputs(metrics_path=args.metrics, stream=sys.stdout)
 
     print(
         "incremental smoke: "

@@ -61,14 +61,14 @@ from repro.minijava.lexer import LexError
 from repro.minijava.parser import ParseError
 from repro.obs import runtime as obs
 from repro.obs.flight import load_flight_dump, render_postmortem
-from repro.obs.log import LOG_ENV, format_line, iter_log
+from repro.obs.log import LOG_ENV, format_line, iter_log, parse_line
 from repro.obs.progress import ProgressReporter
 from repro.obs.regress import (
     compare,
     load_snapshot,
     parse_threshold_overrides,
 )
-from repro.obs.trace import fold_trace, read_trace, summarize_trace, write_trace
+from repro.obs.trace import fold_trace, read_trace, summarize_trace
 from repro.service import (
     ServiceError,
     default_cache_dir,
@@ -104,23 +104,9 @@ def _telemetry_end(args) -> None:
     if progress is not None:
         progress.finish()
         obs.set_progress(None)
-    trace_path = getattr(args, "trace", None)
-    if trace_path:
-        count = write_trace(
-            obs.tracer().events(), trace_path, run_id=obs.run_id()
-        )
-        print(f"trace: {count} event(s) written to {trace_path}", file=sys.stderr)
-    metrics_path = getattr(args, "metrics_file", None)
-    if metrics_path:
-        report = {
-            "schema": "spllift-metrics/v1",
-            "run_id": obs.run_id(),
-            "metrics": obs.metrics().describe(),
-        }
-        Path(metrics_path).write_text(
-            json.dumps(report, indent=1, sort_keys=True) + "\n"
-        )
-        print(f"metrics written to {metrics_path}", file=sys.stderr)
+    obs.write_outputs(
+        getattr(args, "trace", None), getattr(args, "metrics_file", None)
+    )
 
 
 def _load_product_line(args) -> ProductLine:
@@ -557,11 +543,8 @@ def _cmd_obs_tail(args) -> int:
                 if not line:
                     time.sleep(0.25)
                     continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    continue  # torn line mid-write; the rewrite follows
-                if isinstance(record, dict):
+                record = parse_line(line)  # None: torn line mid-write
+                if record is not None:
                     print(format_line(record), flush=True)
     except KeyboardInterrupt:
         return 0

@@ -111,9 +111,27 @@ def _pool_context():
     return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
 
 
+#: Seconds a terminated worker gets to run its SIGTERM handler (which
+#: notes the signal in its spill) before it is SIGKILLed.
+_TERM_GRACE = 2.0
+
+
+def _stop(process) -> None:
+    """Terminate a worker and reap it within a bounded wait: SIGTERM
+    first, SIGKILL once ``_TERM_GRACE`` seconds pass without an exit (a
+    task may ignore or block SIGTERM; the pool must never wait on it)."""
+    process.terminate()
+    process.join(_TERM_GRACE)
+    if process.is_alive():
+        process.kill()
+        process.join()
+
+
 def _worker_sigterm(signum, frame) -> None:
     """Record the signal in the flight ring (the spill makes it visible
-    to the parent), then die the default SIGTERM death."""
+    to the parent), then die the default SIGTERM death.  The ring's lock
+    is reentrant, so this cannot deadlock on a record the signal
+    interrupted."""
     obs.flight().record("signal", "SIGTERM")
     obs.flight().close_spill()
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
@@ -374,8 +392,7 @@ class ProcessTaskPool:
                         )
                         process.join(timeout=5.0)
                         if process.is_alive():
-                            process.terminate()
-                            process.join()
+                            _stop(process)
                         if status == "ok":
                             outcomes[index] = TaskOutcome(
                                 index=index,
@@ -410,9 +427,8 @@ class ProcessTaskPool:
                         self.task_timeout is not None
                         and elapsed > self.task_timeout
                     ):
-                        process.terminate()  # SIGTERM — the worker's
-                        # handler notes the signal in its spill, then dies
-                        process.join()
+                        _stop(process)  # SIGTERM — the worker's handler
+                        # notes the signal in its spill, then dies
                         obs.metrics().inc("pool.tasks_timeout")
                         outcomes[index] = TaskOutcome(
                             index=index,
@@ -436,8 +452,7 @@ class ProcessTaskPool:
                     entry[4].close()
         finally:
             for process, entry in running.items():
-                process.terminate()
-                process.join()
+                _stop(process)
                 entry[4].close()
         return True
 

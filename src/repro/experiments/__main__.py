@@ -142,27 +142,9 @@ def main(argv=None) -> int:
         print(render_scaling(run_scaling(UninitializedVariablesAnalysis)))
         print()
 
+    obs.write_outputs(args.trace, args.metrics_file)
     if args.trace:
-        from repro.obs.trace import write_trace
-
-        count = write_trace(
-            obs.tracer().events(), args.trace, run_id=obs.run_id()
-        )
-        print(
-            f"trace: {count} event(s) written to {args.trace}", file=sys.stderr
-        )
         obs.disable_tracing()
-    if args.metrics_file:
-        import json
-
-        report = {
-            "schema": "spllift-metrics/v1",
-            "run_id": obs.run_id(),
-            "metrics": obs.metrics().describe(),
-        }
-        with open(args.metrics_file, "w") as handle:
-            handle.write(json.dumps(report, indent=1, sort_keys=True) + "\n")
-        print(f"metrics written to {args.metrics_file}", file=sys.stderr)
     return 0
 
 

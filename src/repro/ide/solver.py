@@ -314,30 +314,21 @@ class IDESolver(Generic[D, V]):
         jump = self._jump
         fifo = self._order == "fifo"
         use_heap = self._use_heap
-        progress = obs.progress()
-        flight = obs.flight()
         tick = 0
         while worklist:
-            # Live progress and flight pulses, masked to one pop in ~1k
-            # (progress) / ~256 (flight) so the hot loop pays a
+            # One heartbeat per 256 pops, so the hot loop pays a
             # mask-and-branch, nothing more.  The pulse is what lets a
             # postmortem of a worker killed mid-solve show where the
-            # worklist stood in its final moments.
+            # worklist stood in its final moments, and it feeds the
+            # --progress line.
             tick += 1
             if (tick & 255) == 0:
-                flight.record(
-                    "pulse",
+                obs.pulse(
                     "ide/phase1",
                     pops=tick,
                     worklist=len(worklist),
                     jumps=self.stats["jump_functions"],
                 )
-                if (tick & 1023) == 0 and progress is not None:
-                    progress.tick(
-                        "ide/phase1",
-                        worklist=len(worklist),
-                        jumps=self.stats["jump_functions"],
-                    )
             # Inlined `_pop` for the default and rpo orders; every
             # propagated entry has a jump-table row, so the lookup can
             # index directly.

@@ -165,13 +165,14 @@ class IFDSSolver(Generic[D]):
         kind_cache = self._kind_cache
         fifo = self._order == "fifo"
         use_heap = self._use_heap
-        progress = obs.progress()
         tick = 0
         while worklist:
+            # One heartbeat per 256 pops: flight ring and --progress.
             tick += 1
-            if (tick & 1023) == 0 and progress is not None:
-                progress.tick(
+            if (tick & 255) == 0:
+                obs.pulse(
                     "ifds/tabulation",
+                    pops=tick,
                     worklist=len(worklist),
                     path_edges=self.stats["path_edges"],
                 )

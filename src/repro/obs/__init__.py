@@ -1,6 +1,12 @@
 """`repro.obs` — zero-dependency telemetry: metrics, tracing, progress,
 flight recording and structured logging.
 
+Events travel one path per process: the one tracer sends every span,
+instant and complete span to the always-on flight ring and, while a
+trace file is recorded, to its Chrome buffer; :func:`pulse` is the one
+heartbeat of long-running loops (ring, plus the ``--progress`` line);
+:func:`log_event` writes the ring and, with ``--log``, the JSONL file.
+
 Import discipline: this package must import **only the standard
 library** (plus its own submodules), because instrumented modules deep
 inside ``repro`` import it during package initialization.  Those
@@ -9,16 +15,14 @@ import that is safe while ``repro/__init__`` is still executing.
 """
 
 from repro.obs.flight import (
-    FLIGHT_CAPACITY_ENV,
     FLIGHT_DIR_ENV,
     FLIGHT_SCHEMA,
     FlightRecorder,
-    FlightTracer,
     load_flight_dump,
     load_spill,
     render_postmortem,
 )
-from repro.obs.log import LOG_ENV, EventLog, format_line, iter_log
+from repro.obs.log import LOG_ENV, EventLog, format_line, iter_log, parse_line
 from repro.obs.metrics import (
     HISTOGRAM_BOUNDS,
     Histogram,
@@ -36,23 +40,21 @@ from repro.obs.runtime import (
     enable_log,
     enable_tracing,
     ensure_run_id,
-    event_log,
     flight,
     flight_dump,
     log_event,
     metrics,
     progress,
     publish_stats,
+    pulse,
     reset,
     run_id,
     set_progress,
     tracer,
-    tracing_enabled,
     worker_payload,
+    write_outputs,
 )
 from repro.obs.trace import (
-    NULL_TRACER,
-    NullTracer,
     Tracer,
     read_trace,
     summarize_trace,
@@ -69,13 +71,9 @@ __all__ = [
     "TELEMETRY_ENV",
     "FLIGHT_SCHEMA",
     "FLIGHT_DIR_ENV",
-    "FLIGHT_CAPACITY_ENV",
     "LOG_ENV",
     "EventLog",
     "FlightRecorder",
-    "FlightTracer",
-    "NULL_TRACER",
-    "NullTracer",
     "Tracer",
     "read_trace",
     "summarize_trace",
@@ -84,6 +82,7 @@ __all__ = [
     "load_spill",
     "render_postmortem",
     "iter_log",
+    "parse_line",
     "format_line",
     "absorb_payload",
     "activate_worker",
@@ -92,17 +91,17 @@ __all__ = [
     "enable_log",
     "enable_tracing",
     "ensure_run_id",
-    "event_log",
     "flight",
     "flight_dump",
     "log_event",
     "metrics",
     "progress",
     "publish_stats",
+    "pulse",
     "reset",
     "run_id",
     "set_progress",
     "tracer",
-    "tracing_enabled",
     "worker_payload",
+    "write_outputs",
 ]

@@ -1,13 +1,14 @@
 """The flight recorder: an always-on, bounded ring of recent events.
 
 A :class:`FlightRecorder` is the black box of one process.  Every span
-begin/end, instant, counter publication and log line that flows through
-``repro.obs`` also lands here — in a fixed-capacity ring buffer whose
-append is one deque operation, so the always-on cost rides the same
-"phase boundaries only, never per propagation" discipline the tracer
-established.  A lifted tabulation solve records 6 span begin/end pairs,
-one ``counters`` event and one ``pulse`` per 256 worklist pops — a
-budget ``tests/obs/test_flight.py`` pins deterministically, because an
+begin/end, instant and complete span of the process's tracer, every
+counter publication, log line and worklist heartbeat (``obs.pulse``)
+lands here — in a fixed-capacity ring buffer whose append is one deque
+operation, so the always-on cost rides the same "phase boundaries only,
+never per propagation" discipline the tracer established.  A lifted
+tabulation solve records 6 span begin/end pairs, one ``counters`` event
+and one ``pulse`` per 256 worklist pops — a budget
+``tests/obs/test_flight.py`` pins deterministically, because an
 armed-vs-disarmed wall-clock A/B cannot resolve a cost this small.
 
 When something dies, the ring is what's left.  Three exit paths produce
@@ -16,7 +17,9 @@ a ``spllift-flight/v1`` **dump**:
 - *unhandled exception in a worker* — the worker itself dumps and ships
   the dump beside its error over the result pipe;
 - *SIGTERM* (per-job timeout) — the worker's signal handler records the
-  signal; the parent reads the worker's spill file after termination;
+  signal (the ring's lock is reentrant, so a signal landing mid-record
+  cannot deadlock the handler); the parent reads the worker's spill
+  file after termination;
 - *SIGKILL / hard crash* — nothing in the worker runs, which is why
   workers under a :class:`~repro.core.parallel.ProcessTaskPool` also
   **spill**: with ``$SPLLIFT_FLIGHT_DIR`` set, every recorded event is
@@ -41,15 +44,13 @@ import time
 from collections import deque
 from typing import Dict, List, Optional
 
-from repro.obs.trace import NullTracer
+from repro.obs.log import iter_log
 
 __all__ = [
     "FLIGHT_SCHEMA",
     "FLIGHT_DIR_ENV",
-    "FLIGHT_CAPACITY_ENV",
     "DEFAULT_CAPACITY",
     "FlightRecorder",
-    "FlightTracer",
     "load_flight_dump",
     "load_spill",
     "render_postmortem",
@@ -61,22 +62,10 @@ FLIGHT_SCHEMA = "spllift-flight/v1"
 #: set by the parent pool for the duration of a batch.
 FLIGHT_DIR_ENV = "SPLLIFT_FLIGHT_DIR"
 
-#: Override for the ring capacity (events retained per process).
-FLIGHT_CAPACITY_ENV = "SPLLIFT_FLIGHT_CAPACITY"
-
-#: Default ring capacity — comfortably above the ≥50 events a postmortem
-#: reconstruction promises, small enough to never matter for memory.
+#: Ring capacity (events retained per process) — comfortably above the
+#: ≥50 events a postmortem reconstruction promises, small enough to
+#: never matter for memory.
 DEFAULT_CAPACITY = 256
-
-
-def _capacity_from_env() -> int:
-    raw = os.environ.get(FLIGHT_CAPACITY_ENV, "").strip()
-    if raw:
-        try:
-            return max(50, int(raw))
-        except ValueError:
-            pass
-    return DEFAULT_CAPACITY
 
 
 class FlightRecorder:
@@ -86,17 +75,20 @@ class FlightRecorder:
     with ``ts`` in wall-clock epoch seconds (a postmortem wants "when",
     not a monotonic offset nobody can map back to the incident).  The
     recorder is thread-safe (the HTTP store server records from request
-    threads) but optimized for the common single-threaded worker.
+    threads) but optimized for the common single-threaded worker.  Its
+    lock is reentrant: a pool worker's SIGTERM handler records into the
+    ring on the main thread, possibly while that thread is inside
+    :meth:`record` — a plain lock would block the handler forever.
     """
 
     def __init__(
         self,
-        capacity: Optional[int] = None,
+        capacity: int = DEFAULT_CAPACITY,
         spill_path: Optional[str] = None,
     ) -> None:
-        self.capacity = capacity if capacity is not None else _capacity_from_env()
+        self.capacity = capacity
         self._events: deque = deque(maxlen=self.capacity)
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()
         self._seq = 0
         self._pid = os.getpid()
         #: Per-thread stacks of (span name, start ts) — open spans.
@@ -256,59 +248,6 @@ class FlightRecorder:
 
 
 # ----------------------------------------------------------------------
-# The always-on tracer facade
-# ----------------------------------------------------------------------
-
-
-class _FlightSpan:
-    """Span context manager that records into the flight ring only."""
-
-    __slots__ = ("_flight", "_name", "_args")
-
-    def __init__(self, flight: FlightRecorder, name: str, args) -> None:
-        self._flight = flight
-        self._name = name
-        self._args = args
-
-    def __enter__(self) -> "_FlightSpan":
-        self._flight.span_begin(self._name, self._args)
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self._flight.span_end(self._name)
-        return False
-
-
-class FlightTracer(NullTracer):
-    """The default tracer: invisible to trace files, visible to the ring.
-
-    ``enabled`` stays ``False`` so guarded call sites keep skipping
-    argument construction, ``events()``/``drain()`` stay empty so no
-    trace file grows — but every unguarded span/instant still reaches
-    the flight recorder.  When real tracing is enabled the recording
-    :class:`~repro.obs.trace.Tracer` takes over and feeds the same ring
-    through its ``flight`` sink.
-    """
-
-    def __init__(self, flight: FlightRecorder) -> None:
-        self._flight = flight
-
-    def span(self, name: str, **args):
-        return _FlightSpan(self._flight, name, args or None)
-
-    def instant(self, name: str, **args) -> None:
-        self._flight.record("instant", name, **args)
-
-    def complete(self, name, start_us, end_us, tid=None, **args) -> None:
-        self._flight.record(
-            "complete",
-            name,
-            duration_us=round(float(end_us) - float(start_us), 1),
-            **args,
-        )
-
-
-# ----------------------------------------------------------------------
 # Parent-side reconstruction
 # ----------------------------------------------------------------------
 
@@ -326,22 +265,13 @@ def load_spill(
     Returns ``None`` when the spill is missing or empty.
     """
     try:
-        with open(path, encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
+        # A torn final line is expected under SIGKILL; the reader skips it.
+        records = list(iter_log(path))
     except OSError:
         return None
     header: Dict[str, object] = {}
     events: List[dict] = []
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            event = json.loads(line)
-        except json.JSONDecodeError:
-            continue  # a torn final line is expected under SIGKILL
-        if not isinstance(event, dict):
-            continue
+    for event in records:
         if event.get("kind") == "flight_open":
             header = event
         else:

@@ -31,7 +31,7 @@ import os
 import time
 from typing import Dict, Optional
 
-__all__ = ["LOG_ENV", "EventLog", "iter_log", "format_line"]
+__all__ = ["LOG_ENV", "EventLog", "iter_log", "parse_line", "format_line"]
 
 #: Path of the shared JSONL event log; set by ``--log`` in the parent
 #: and inherited by every worker.
@@ -95,23 +95,28 @@ class EventLog:
 
 
 # ----------------------------------------------------------------------
-# Reading (``spllift obs tail``)
+# Reading (``spllift obs tail``, flight spills)
 # ----------------------------------------------------------------------
 
 
 def iter_log(path):
-    """Yield parsed records from a JSONL event log, skipping torn lines."""
+    """Yield the records of a JSON-lines file — an event log or a flight
+    spill — skipping blank and torn lines."""
     with open(path, encoding="utf-8") as handle:
         for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # a concurrent writer's torn line
-            if isinstance(record, dict):
+            record = parse_line(line)
+            if record is not None:
                 yield record
+
+
+def parse_line(line: str) -> Optional[Dict[str, object]]:
+    """One JSON-lines record, or ``None`` for a blank, torn (a concurrent
+    writer's, or one cut short by SIGKILL) or non-object line."""
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError:
+        return None
+    return record if isinstance(record, dict) else None
 
 
 def format_line(record: Dict[str, object]) -> str:

@@ -2,11 +2,12 @@
 
 A :class:`ProgressReporter` renders a single carriage-return-updated
 stderr line — worklist depth, jump functions, BDD nodes, elapsed time —
-from throttled ``tick`` calls inside the solver loops.  The throttle is
-wall-clock based (default 4 updates/second), and the solver additionally
-masks its calls to one in ~1k worklist pops, so an enabled progress line
-costs the hot loop almost nothing and a disabled one costs a single
-``is None`` check.
+from throttled ``tick`` calls.  Its one caller is the heartbeat
+:func:`repro.obs.runtime.pulse`, which the IDE and IFDS worklist loops
+call once per 256 pops and the batch scheduler once per wave.  The
+throttle is wall-clock based (default 4 updates/second), so an enabled
+progress line costs a pulse one clock read between updates, and a
+disabled one costs nothing beyond the pulse itself.
 """
 
 from __future__ import annotations

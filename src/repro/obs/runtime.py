@@ -3,11 +3,14 @@
 One process holds one :class:`~repro.obs.metrics.MetricsRegistry`
 (always on — recording a counter is a dict update, and only at phase
 boundaries, store operations and pool events, never per propagation),
-one always-on :class:`~repro.obs.flight.FlightRecorder` (the bounded
-ring a postmortem reads; :mod:`repro.obs.flight` states its event
-budget), one tracer (a :class:`~repro.obs.flight.FlightTracer` feeding
-only the ring until tracing is explicitly enabled) and optionally one
-:class:`~repro.obs.log.EventLog` (``--log FILE`` / ``$SPLLIFT_LOG``).
+one :class:`~repro.obs.trace.Tracer` that owns the always-on
+:class:`~repro.obs.flight.FlightRecorder` (the bounded ring a
+postmortem reads; :mod:`repro.obs.flight` states its event budget) and
+buffers trace events only while tracing is enabled, optionally one
+:class:`~repro.obs.log.EventLog` (``--log FILE`` / ``$SPLLIFT_LOG``) and
+optionally one :class:`~repro.obs.progress.ProgressReporter`
+(``--progress``).  Long-running loops report through one heartbeat,
+:func:`pulse`, which writes the ring and ticks the progress line.
 
 Cross-process flow (``repro.core.parallel`` workers and scheduler jobs):
 
@@ -31,19 +34,17 @@ Cross-process flow (``repro.core.parallel`` workers and scheduler jobs):
 
 from __future__ import annotations
 
+import json
 import os
+import sys
 import uuid
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, TextIO
 
-from repro.obs.flight import (
-    FLIGHT_DIR_ENV,
-    FlightRecorder,
-    FlightTracer,
-)
+from repro.obs.flight import FLIGHT_DIR_ENV, FlightRecorder
 from repro.obs.log import LOG_ENV, EventLog
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.progress import ProgressReporter
-from repro.obs.trace import Tracer
+from repro.obs.trace import Tracer, write_trace
 
 __all__ = [
     "RUN_ID_ENV",
@@ -53,8 +54,6 @@ __all__ = [
     "progress",
     "flight",
     "flight_dump",
-    "event_log",
-    "tracing_enabled",
     "run_id",
     "ensure_run_id",
     "enable_tracing",
@@ -62,7 +61,9 @@ __all__ = [
     "enable_log",
     "disable_log",
     "log_event",
+    "pulse",
     "set_progress",
+    "write_outputs",
     "publish_stats",
     "reset",
     "activate_worker",
@@ -80,18 +81,11 @@ TELEMETRY_ENV = "SPLLIFT_TELEMETRY"
 
 
 class _ObsState:
-    __slots__ = (
-        "metrics",
-        "tracer",
-        "progress",
-        "flight",
-        "log",
-    )
+    __slots__ = ("metrics", "tracer", "progress", "log")
 
     def __init__(self) -> None:
         self.metrics = MetricsRegistry()
-        self.flight = FlightRecorder()
-        self.tracer = FlightTracer(self.flight)
+        self.tracer = Tracer(recording=False)
         self.progress: Optional[ProgressReporter] = None
         self.log: Optional[EventLog] = None
 
@@ -109,8 +103,9 @@ def metrics() -> MetricsRegistry:
     return _state.metrics
 
 
-def tracer():
-    """The active tracer — flight-only until tracing is enabled."""
+def tracer() -> Tracer:
+    """This process's tracer — feeding only the flight ring until
+    tracing is enabled."""
     return _state.tracer
 
 
@@ -120,17 +115,8 @@ def progress() -> Optional[ProgressReporter]:
 
 
 def flight() -> FlightRecorder:
-    """This process's flight recorder (always available)."""
-    return _state.flight
-
-
-def event_log() -> Optional[EventLog]:
-    """The structured event log, or ``None`` when not configured."""
-    return _state.log
-
-
-def tracing_enabled() -> bool:
-    return _state.tracer.enabled
+    """This process's flight recorder (the tracer's ring, always on)."""
+    return _state.tracer.flight
 
 
 def run_id() -> Optional[str]:
@@ -153,16 +139,20 @@ def ensure_run_id() -> str:
 
 
 def enable_tracing() -> Tracer:
-    """Install a recording tracer (idempotent) and mark the environment
-    so worker processes activate tracing too."""
-    if not isinstance(_state.tracer, Tracer):
-        _state.tracer = Tracer(run_id=ensure_run_id(), flight=_state.flight)
+    """Start recording trace events (idempotent) and mark the
+    environment so worker processes record too."""
+    tracer = _state.tracer
+    if not tracer.enabled:
+        tracer.run_id = ensure_run_id()
+        tracer.enabled = True
         os.environ[TELEMETRY_ENV] = "1"
-    return _state.tracer
+    return tracer
 
 
 def disable_tracing() -> None:
-    _state.tracer = FlightTracer(_state.flight)
+    """Stop recording and drop the buffer; the ring keeps its events."""
+    _state.tracer.enabled = False
+    _state.tracer.drain()
     os.environ.pop(TELEMETRY_ENV, None)
 
 
@@ -185,11 +175,19 @@ def disable_log() -> None:
 def log_event(event: str, level: str = "info", **fields) -> None:
     """Emit one structured event — to the log file (when configured)
     and, span-correlated, into the flight ring (always)."""
+    ring = _state.tracer.flight
     if _state.log is not None:
-        _state.log.event(
-            event, level=level, span=_state.flight.current_span(), **fields
-        )
-    _state.flight.record("log", event, level=level, **fields)
+        _state.log.event(event, level=level, span=ring.current_span(), **fields)
+    ring.record("log", event, level=level, **fields)
+
+
+def pulse(phase: str, **fields) -> None:
+    """The heartbeat of a long-running loop (worklist pops, batch
+    waves): one ``pulse`` event in the flight ring and, when a progress
+    reporter is attached, a throttled tick of the progress line."""
+    _state.tracer.flight.record("pulse", phase, **fields)
+    if _state.progress is not None:
+        _state.progress.tick(phase, **fields)
 
 
 def set_progress(reporter: Optional[ProgressReporter]) -> None:
@@ -197,14 +195,13 @@ def set_progress(reporter: Optional[ProgressReporter]) -> None:
 
 
 def reset() -> None:
-    """Fresh registry, flight ring and default tracer, no progress, no
-    log (tests, worker startup)."""
-    _state.flight.close_spill()
+    """Fresh registry, flight ring and tracer (not recording), no
+    progress, no log (tests, scripts)."""
+    _state.tracer.flight.close_spill()
     if _state.log is not None:
         _state.log.close()
     _state.metrics = MetricsRegistry()
-    _state.flight = FlightRecorder()
-    _state.tracer = FlightTracer(_state.flight)
+    _state.tracer = Tracer(recording=False)
     _state.progress = None
     _state.log = None
 
@@ -213,7 +210,28 @@ def flight_dump(
     reason: str, job: Optional[Dict[str, object]] = None
 ) -> Dict[str, object]:
     """Package this process's ring as a ``spllift-flight/v1`` dict."""
-    return _state.flight.dump(reason, run_id=run_id(), job=job)
+    return _state.tracer.flight.dump(reason, run_id=run_id(), job=job)
+
+
+def write_outputs(
+    trace_path=None, metrics_path=None, stream: Optional[TextIO] = None
+) -> None:
+    """Write the ``--trace`` file and the ``--metrics`` report
+    (``spllift-metrics/v1``) this process collected, announcing each
+    with one line on ``stream`` (default stderr)."""
+    stream = stream if stream is not None else sys.stderr
+    if trace_path:
+        count = write_trace(_state.tracer.events(), trace_path, run_id=run_id())
+        print(f"trace: {count} event(s) written to {trace_path}", file=stream)
+    if metrics_path:
+        report = {
+            "schema": "spllift-metrics/v1",
+            "run_id": run_id(),
+            "metrics": _state.metrics.describe(),
+        }
+        with open(metrics_path, "w") as handle:
+            handle.write(json.dumps(report, indent=1, sort_keys=True) + "\n")
+        print(f"metrics written to {metrics_path}", file=stream)
 
 
 def publish_stats(prefix: str, stats: Dict[str, object]) -> None:
@@ -230,7 +248,7 @@ def publish_stats(prefix: str, stats: Dict[str, object]) -> None:
         if isinstance(value, bool) or not isinstance(value, int):
             continue
         inc(f"{prefix}.{name}", value)
-    _state.flight.note_counters(prefix, stats)
+    _state.tracer.flight.note_counters(prefix, stats)
 
 
 # ----------------------------------------------------------------------
@@ -241,16 +259,17 @@ def publish_stats(prefix: str, stats: Dict[str, object]) -> None:
 def activate_worker() -> None:
     """Re-initialize telemetry inside a worker process.
 
-    Installs a fresh registry and flight ring (a forked child inherits
-    the parent's — snapshotting those would double-count every merged
-    counter and replay the parent's events) and, when
-    ``$SPLLIFT_TELEMETRY`` is set, a fresh tracer bound to the worker's
-    own pid.  With ``$SPLLIFT_FLIGHT_DIR`` set (pool workers), the new
-    ring spills to ``flight-<pid>.jsonl`` so the parent can reconstruct
-    this worker's last moments even after SIGKILL.  With
-    ``$SPLLIFT_LOG`` set, the worker appends to the shared event log.
+    Installs a fresh registry and a fresh tracer with its own ring,
+    bound to the worker's pid (a forked child inherits the parent's —
+    snapshotting those would double-count every merged counter and
+    replay the parent's events); the tracer records trace events when
+    ``$SPLLIFT_TELEMETRY`` is set.  With ``$SPLLIFT_FLIGHT_DIR`` set
+    (pool workers), the new ring spills to ``flight-<pid>.jsonl`` so the
+    parent can reconstruct this worker's last moments even after
+    SIGKILL.  With ``$SPLLIFT_LOG`` set, the worker appends to the
+    shared event log.
     """
-    _state.flight.close_spill()
+    _state.tracer.flight.close_spill()
     _state.metrics = MetricsRegistry()
     _state.progress = None
     spill_dir = os.environ.get(FLIGHT_DIR_ENV)
@@ -259,11 +278,11 @@ def activate_worker() -> None:
         if spill_dir
         else None
     )
-    _state.flight = FlightRecorder(spill_path=spill_path)
-    if os.environ.get(TELEMETRY_ENV) == "1":
-        _state.tracer = Tracer(run_id=run_id(), flight=_state.flight)
-    else:
-        _state.tracer = FlightTracer(_state.flight)
+    _state.tracer = Tracer(
+        FlightRecorder(spill_path=spill_path),
+        run_id=run_id(),
+        recording=os.environ.get(TELEMETRY_ENV) == "1",
+    )
     if _state.log is not None:
         _state.log.close()
     log_path = os.environ.get(LOG_ENV)

@@ -1,11 +1,15 @@
 """Span-based tracing in the Chrome ``trace_event`` format.
 
-A :class:`Tracer` records begin/end span pairs (``ph: "B"``/``"E"``),
-instant events (``ph: "i"``) and retrospective complete spans, all
-timestamped with the monotonic clock in microseconds — the unit Chrome's
-format specifies.  On Linux ``time.perf_counter`` reads the system-wide
-``CLOCK_MONOTONIC``, so events recorded in forked worker processes merge
-with the parent's on one consistent timeline.
+One :class:`Tracer` per process sees every span, instant event and
+retrospective complete span.  Each of them always reaches the
+process's flight ring (:class:`~repro.obs.flight.FlightRecorder`, the
+tracer owns it); while a trace file is being recorded (``enabled``),
+each is also buffered as Chrome begin/end pairs (``ph: "B"``/``"E"``)
+and instants (``ph: "i"``), timestamped with the monotonic clock in
+microseconds — the unit Chrome's format specifies.  On Linux
+``time.perf_counter`` reads the system-wide ``CLOCK_MONOTONIC``, so
+events recorded in forked worker processes merge with the parent's on
+one consistent timeline.
 
 :func:`write_trace` emits a file that is simultaneously
 
@@ -18,10 +22,6 @@ with the parent's on one consistent timeline.
 :func:`summarize_trace` aggregates a trace into a per-span-name time
 breakdown plus a top-level coverage figure — what ``spllift trace
 summary`` prints.
-
-The disabled path is :class:`NullTracer`: ``span()`` returns a shared
-no-op context manager and ``instant()`` does nothing, so an untraced run
-pays one attribute load and a branch per would-be span.
 """
 
 from __future__ import annotations
@@ -32,10 +32,10 @@ import threading
 import time
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.obs.flight import FlightRecorder
+
 __all__ = [
     "Tracer",
-    "NullTracer",
-    "NULL_TRACER",
     "write_trace",
     "read_trace",
     "summarize_trace",
@@ -44,7 +44,7 @@ __all__ = [
 
 
 class _Span:
-    """Context manager emitting a B event on enter and an E on exit."""
+    """Context manager emitting a begin on enter and an end on exit."""
 
     __slots__ = ("_tracer", "_name", "_args")
 
@@ -62,87 +62,52 @@ class _Span:
         return False
 
 
-class _NullSpan:
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        return False
-
-
-_NULL_SPAN = _NullSpan()
-
-
-class NullTracer:
-    """The disabled tracer: every operation is a no-op."""
-
-    enabled = False
-    run_id: Optional[str] = None
-
-    def span(self, name: str, **args) -> _NullSpan:
-        return _NULL_SPAN
-
-    def instant(self, name: str, **args) -> None:
-        return None
-
-    def complete(self, name, start_us, end_us, tid=None, **args) -> None:
-        return None
-
-    def events(self) -> List[dict]:
-        return []
-
-    def drain(self) -> List[dict]:
-        return []
-
-    def absorb(self, events: Iterable[dict]) -> None:
-        return None
-
-
-NULL_TRACER = NullTracer()
-
-
 class Tracer:
-    """Buffers trace events for one process.
+    """The process's one tracer: flight ring always, trace buffer while
+    recording.
 
-    Events are plain dicts in the Chrome ``trace_event`` shape; ``ts``
-    is ``time.perf_counter()`` in microseconds.  The pid/tid are sampled
-    at construction time, which is why worker processes install a fresh
-    tracer after fork (:func:`repro.obs.runtime.activate_worker`) — the
-    inherited buffer would otherwise replay the parent's events.
+    Buffered events are plain dicts in the Chrome ``trace_event`` shape;
+    ``ts`` is ``time.perf_counter()`` in microseconds.  The pid/tid are
+    sampled at construction time, which is why worker processes install
+    a fresh tracer after fork (:func:`repro.obs.runtime.activate_worker`)
+    — the inherited buffer and ring would otherwise replay the parent's
+    events.
     """
 
-    enabled = True
-
-    def __init__(self, run_id: Optional[str] = None, flight=None) -> None:
+    def __init__(
+        self,
+        flight: Optional[FlightRecorder] = None,
+        run_id: Optional[str] = None,
+        recording: bool = True,
+    ) -> None:
+        #: The flight ring every event reaches, recording or not.
+        self.flight = flight if flight is not None else FlightRecorder()
         self.run_id = run_id
+        #: True while a trace file is being recorded: only then are
+        #: Chrome events buffered.
+        self.enabled = recording
         self._events: List[dict] = []
         self._pid = os.getpid()
         self._tid = threading.get_ident() & 0xFFFF
-        #: Optional flight-recorder sink: while real tracing is on, the
-        #: always-on ring keeps seeing the same span stream it saw when
-        #: the :class:`~repro.obs.flight.FlightTracer` was installed.
-        self.flight = flight
 
     # -- recording -----------------------------------------------------
 
-    def _emit(self, ph: str, name: str, args: Optional[dict]) -> None:
-        event = {
-            "name": name,
-            "ph": ph,
-            "ts": time.perf_counter() * 1e6,
-            "pid": self._pid,
-            "tid": self._tid,
-        }
+    def _buffer(
+        self, ph: str, name: str, ts: float, tid: int, args: Optional[dict]
+    ) -> dict:
+        event = {"name": name, "ph": ph, "ts": ts, "pid": self._pid, "tid": tid}
         if args:
             event["args"] = args
         self._events.append(event)
-        if self.flight is not None:
-            if ph == "B":
-                self.flight.span_begin(name, args)
-            elif ph == "E":
-                self.flight.span_end(name)
+        return event
+
+    def _emit(self, ph: str, name: str, args: Optional[dict]) -> None:
+        if ph == "B":
+            self.flight.span_begin(name, args)
+        else:
+            self.flight.span_end(name)
+        if self.enabled:
+            self._buffer(ph, name, time.perf_counter() * 1e6, self._tid, args)
 
     def span(self, name: str, **args) -> _Span:
         """Context manager tracing one nested span."""
@@ -150,19 +115,12 @@ class Tracer:
 
     def instant(self, name: str, **args) -> None:
         """A point-in-time event (``ph: "i"``, e.g. a BDD reorder)."""
-        event = {
-            "name": name,
-            "ph": "i",
-            "ts": time.perf_counter() * 1e6,
-            "pid": self._pid,
-            "tid": self._tid,
-            "s": "p",  # instant scope: process
-        }
-        if args:
-            event["args"] = args
-        self._events.append(event)
-        if self.flight is not None:
-            self.flight.record("instant", name, **args)
+        self.flight.record("instant", name, **args)
+        if self.enabled:
+            event = self._buffer(
+                "i", name, time.perf_counter() * 1e6, self._tid, args
+            )
+            event["s"] = "p"  # instant scope: process
 
     def complete(
         self,
@@ -179,27 +137,16 @@ class Tracer:
         concurrent tasks occupy separate rows instead of producing
         improperly-nested events on one track.
         """
-        track = self._tid if tid is None else tid
-        begin = {
-            "name": name,
-            "ph": "B",
-            "ts": start_us,
-            "pid": self._pid,
-            "tid": track,
-        }
-        if args:
-            begin["args"] = args
-        self._events.append(begin)
-        self._events.append(
-            {"name": name, "ph": "E", "ts": end_us, "pid": self._pid, "tid": track}
+        self.flight.record(
+            "complete",
+            name,
+            duration_us=round(float(end_us) - float(start_us), 1),
+            **args,
         )
-        if self.flight is not None:
-            self.flight.record(
-                "complete",
-                name,
-                duration_us=round(float(end_us) - float(start_us), 1),
-                **args,
-            )
+        if self.enabled:
+            track = self._tid if tid is None else tid
+            self._buffer("B", name, start_us, track, args)
+            self._buffer("E", name, end_us, track, None)
 
     # -- aggregation ---------------------------------------------------
 
@@ -212,8 +159,9 @@ class Tracer:
         return events
 
     def absorb(self, events: Iterable[dict]) -> None:
-        """Append events shipped from another process."""
-        self._events.extend(events)
+        """Append events shipped from another process (while recording)."""
+        if self.enabled:
+            self._events.extend(events)
 
 
 # ----------------------------------------------------------------------

@@ -218,14 +218,11 @@ class BatchScheduler:
         ]
         outcomes: Dict[int, JobOutcome] = {}
         metrics = obs.metrics()
-        reporter = obs.progress()
         peak_workers = 0
         waves = 0
 
         def tick() -> None:
-            """One stderr status line: wave, settled/total, hit ratio."""
-            if reporter is None:
-                return
+            """One heartbeat per wave: wave, settled/total, hit ratio."""
             counts: Dict[str, int] = {}
             for outcome in outcomes.values():
                 counts[outcome.status] = counts.get(outcome.status, 0) + 1
@@ -242,7 +239,7 @@ class BatchScheduler:
             ratio = metrics.hit_ratio("store.get_hits", "store.get_misses")
             if ratio is not None:
                 fields["store hits"] = f"{ratio:.0%}"
-            reporter.tick("batch", **fields)
+            obs.pulse("batch", **fields)
 
         obs.log_event("batch.start", jobs=len(jobs))
         with obs.tracer().span(

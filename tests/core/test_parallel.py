@@ -6,11 +6,18 @@ worker process (gated on the ``SPLLIFT_WORKER`` env var set by
 terminated processes without ever endangering the test process.
 """
 
+import json
 import os
+import signal
+import subprocess
+import sys
+import textwrap
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.core.parallel import PARALLEL_ENV, ProcessTaskPool, resolve_parallel
 
 
@@ -124,3 +131,68 @@ class TestProcessTaskPool:
         with pytest.raises(ValueError, match="max_retries"):
             ProcessTaskPool(max_retries=-1)
 
+
+
+def _run_isolated(code: str, timeout: float, env=None):
+    """Run ``code`` in a fresh interpreter in its own process group; a
+    hang fails the test and kills the group (grandchildren included)
+    instead of hanging the suite."""
+    src_root = str(Path(repro.__file__).resolve().parent.parent)
+    child_env = dict(os.environ, PYTHONPATH=src_root, **(env or {}))
+    child = subprocess.Popen(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        env=child_env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        start_new_session=True,
+    )
+    try:
+        out, err = child.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        os.killpg(child.pid, signal.SIGKILL)
+        child.communicate()
+        pytest.fail(f"still running after {timeout:g}s (hung)")
+    return child.returncode, out.decode(), err.decode()
+
+
+class TestWorkerTermination:
+    """SIGTERM (the per-task timeout) must always end a worker, and the
+    pool must never wait on one without bound."""
+
+    def test_sigterm_during_a_ring_write_still_kills_the_worker(self, tmp_path):
+        code = """
+            import os, signal, time
+            from repro.core.parallel import _worker_sigterm
+            from repro.obs import runtime as obs
+
+            obs.activate_worker()
+            signal.signal(signal.SIGTERM, _worker_sigterm)
+            with obs.flight()._lock:  # the signal lands mid-record
+                os.kill(os.getpid(), signal.SIGTERM)
+                time.sleep(10)
+            raise SystemExit(3)
+        """
+        returncode, _, err = _run_isolated(
+            code, timeout=8.0, env={"SPLLIFT_FLIGHT_DIR": str(tmp_path)}
+        )
+        assert returncode == -signal.SIGTERM, err
+        (spill,) = tmp_path.glob("flight-*.jsonl")
+        events = [json.loads(line) for line in spill.read_text().splitlines()]
+        assert ("signal", "SIGTERM") in [(e["kind"], e["name"]) for e in events]
+
+    def test_timeout_of_a_worker_ignoring_sigterm_is_bounded(self):
+        code = """
+            import signal, time
+            from repro.core.parallel import ProcessTaskPool
+
+            def stubborn():
+                signal.signal(signal.SIGTERM, signal.SIG_IGN)
+                time.sleep(60)
+
+            pool = ProcessTaskPool(task_timeout=1.0, max_retries=0)
+            (outcome,) = pool.run([(stubborn, ())])
+            print(outcome.status, "|", outcome.error)
+        """
+        returncode, out, err = _run_isolated(code, timeout=15.0)
+        assert returncode == 0, err
+        assert out.startswith("failed | timed out after 1s"), out

@@ -1,9 +1,10 @@
 """Shared fixtures for the telemetry tests.
 
-Every test starts from a clean slate: fresh registry, null tracer, no
-progress reporter, and neither telemetry environment variable set — the
-obs runtime is process-global state, so leaking it between tests would
-make counter assertions order-dependent.
+Every test starts from a clean slate: fresh registry, a tracer that is
+not recording (with a fresh flight ring), no progress reporter, and
+neither telemetry environment variable set — the obs runtime is
+process-global state, so leaking it between tests would make counter
+assertions order-dependent.
 """
 
 import pytest

@@ -17,12 +17,11 @@ from repro.obs import runtime as obs
 from repro.obs.flight import (
     FLIGHT_SCHEMA,
     FlightRecorder,
-    FlightTracer,
     load_flight_dump,
     load_spill,
     render_postmortem,
 )
-from repro.obs.trace import NullTracer, Tracer
+from repro.obs.trace import Tracer
 from repro.spl.benchmarks import gpl_like
 from repro.spl.examples import figure1_with_model
 
@@ -142,28 +141,33 @@ class TestSpill:
 
 
 class TestFlightTracer:
-    def test_default_tracer_is_a_disabled_null_tracer(self):
+    """The tracer's flight side: every span, instant and complete span
+    reaches the ring, whether or not a trace file is being recorded."""
+
+    def test_default_tracer_is_not_recording(self):
         tracer = obs.tracer()
-        assert isinstance(tracer, FlightTracer)
-        assert isinstance(tracer, NullTracer)  # guarded sites stay off
-        assert not tracer.enabled
+        assert not tracer.enabled  # guarded sites stay off
+        assert tracer.flight is obs.flight()  # the one ring it feeds
 
     def test_spans_feed_the_ring(self):
         recorder = FlightRecorder(capacity=8)
-        tracer = FlightTracer(recorder)
+        tracer = Tracer(recorder, recording=False)
         with tracer.span("solve", subject="fig1"):
             assert recorder.current_span() == "solve"
         kinds = [(e["kind"], e["name"]) for e in recorder.events()]
         assert kinds == [("span_begin", "solve"), ("span_end", "solve")]
         assert recorder.events()[0]["subject"] == "fig1"
+        assert tracer.events() == []
 
     def test_instant_and_complete_feed_the_ring(self):
         recorder = FlightRecorder(capacity=8)
-        tracer = FlightTracer(recorder)
+        tracer = Tracer(recorder, recording=False)
         tracer.instant("marker", k=1)
         tracer.complete("work", 0, 500, n=2)
         kinds = [e["kind"] for e in recorder.events()]
         assert kinds == ["instant", "complete"]
+        assert recorder.events()[1]["duration_us"] == 500.0
+        assert tracer.events() == []
 
     def test_real_tracer_feeds_the_ring_too(self):
         recorder = FlightRecorder(capacity=8)
@@ -173,6 +177,21 @@ class TestFlightTracer:
         assert [e["kind"] for e in recorder.events()] == [
             "span_begin", "span_end",
         ]
+
+    def test_toggling_tracing_keeps_one_ring(self):
+        ring = obs.flight()
+        obs.log_event("before.toggles")
+        obs.enable_tracing()
+        obs.disable_tracing()
+        tracer = obs.enable_tracing()
+        assert obs.flight() is ring and tracer.flight is ring
+        with tracer.span("after.toggles"):
+            pass
+        names = [e["name"] for e in ring.events()]
+        assert names == ["before.toggles", "after.toggles", "after.toggles"]
+        # The buffer holds only what was recorded since tracing resumed.
+        assert [e["name"] for e in tracer.events()] == ["after.toggles"] * 2
+        obs.disable_tracing()
 
 
 class TestRingBudget:
@@ -301,7 +320,7 @@ class TestGaugeMergeUnderSnapshot:
         assert counter_events[-1]["counters"] == {"ide.jumps": 3}
 
     def test_worker_gauges_merge_via_max_with_flight_on(self):
-        assert isinstance(obs.tracer(), FlightTracer)  # the ring observes
+        assert obs.tracer().flight is obs.flight()  # the ring observes
         obs.metrics().gauge("pool.peak_rss", 100.0)
         for peak in (300.0, 200.0):  # arrival order must not matter
             obs.absorb_payload({

@@ -1,5 +1,7 @@
-"""Tests for the process-global obs runtime and the compat stats view."""
+"""Tests for the process-global obs runtime, the heartbeat and the
+compat stats view."""
 
+import io
 import os
 
 from repro.analyses import TaintAnalysis, UninitializedVariablesAnalysis
@@ -9,25 +11,27 @@ from repro.ide.binary import ifds_as_ide
 from repro.ifds import IFDSSolver
 from repro.obs import runtime as obs
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import NullTracer, Tracer
+from repro.obs.progress import ProgressReporter
+from repro.obs.trace import Tracer
 from repro.spl import figure1, figure1_with_model
+from repro.spl.benchmarks import gpl_like
 
 
 class TestRuntimeState:
     def test_defaults(self):
         assert isinstance(obs.metrics(), MetricsRegistry)
-        assert isinstance(obs.tracer(), NullTracer)
+        assert isinstance(obs.tracer(), Tracer)
         assert obs.progress() is None
-        assert not obs.tracing_enabled()
+        assert not obs.tracer().enabled
 
     def test_enable_tracing_is_idempotent(self):
         first = obs.enable_tracing()
         second = obs.enable_tracing()
         assert first is second
-        assert obs.tracing_enabled()
+        assert obs.tracer().enabled
         assert os.environ[obs.TELEMETRY_ENV] == "1"
         obs.disable_tracing()
-        assert not obs.tracing_enabled()
+        assert not obs.tracer().enabled
         assert obs.TELEMETRY_ENV not in os.environ
 
     def test_run_id_minted_once_and_inherited(self):
@@ -53,14 +57,14 @@ class TestRuntimeState:
         obs.metrics().inc("parent_only", 7)
         obs.activate_worker()
         assert obs.metrics().counter_value("parent_only") == 0
-        assert isinstance(obs.tracer(), NullTracer)
+        assert not obs.tracer().enabled
 
     def test_activate_worker_respects_telemetry_env(self):
         obs.enable_tracing()
         with obs.tracer().span("parent"):
             pass
         obs.activate_worker()  # simulates the post-fork child
-        assert isinstance(obs.tracer(), Tracer)
+        assert obs.tracer().enabled
         assert obs.tracer().events() == []  # parent's buffer not inherited
 
     def test_worker_payload_roundtrip(self):
@@ -80,6 +84,61 @@ class TestRuntimeState:
         ]
         obs.absorb_payload(None)  # tolerated: crashed worker, old protocol
         assert obs.metrics().counter_value("pool.tasks_completed") == 1
+
+
+class TestHeartbeat:
+    """``obs.pulse`` is the one heartbeat of the worklist loops and the
+    batch scheduler: a ring event always, a progress tick when a
+    reporter is attached."""
+
+    @staticmethod
+    def _pulses(name):
+        return [
+            e["pops"]
+            for e in obs.flight().events()
+            if e["kind"] == "pulse" and e["name"] == name
+        ]
+
+    def test_pulse_without_progress_records_the_ring(self):
+        obs.pulse("phase", worklist=3)
+        (event,) = obs.flight().events()
+        assert (event["kind"], event["name"], event["worklist"]) == (
+            "pulse", "phase", 3,
+        )
+
+    def test_pulse_ticks_an_attached_reporter(self):
+        stream = io.StringIO()
+        obs.set_progress(ProgressReporter(stream=stream, interval=0.0))
+        obs.pulse("phase", worklist=3)
+        assert obs.progress().updates == 1
+        assert "phase | worklist 3" in stream.getvalue()
+        assert [e["kind"] for e in obs.flight().events()] == ["pulse"]
+
+    def test_ifds_solve_pulses_every_256_pops(self):
+        solver = IFDSSolver(UninitializedVariablesAnalysis(gpl_like().icfg))
+        solver.solve()
+        pulses = self._pulses("ifds/tabulation")
+        assert solver.stats["path_edges"] >= 512
+        assert pulses == [256 * k for k in range(1, len(pulses) + 1)]
+        assert len(pulses) >= 2
+
+    def test_progress_draws_from_ide_and_ifds_loops(self):
+        stream = io.StringIO()
+        reporter = ProgressReporter(stream=stream, interval=0.0)
+        obs.set_progress(reporter)
+        product_line = gpl_like()
+        SPLLift(
+            UninitializedVariablesAnalysis(product_line.icfg),
+            feature_model=product_line.feature_model,
+        ).solve()
+        lifted = reporter.updates
+        assert lifted == len(self._pulses("ide/phase1")) > 0
+        assert "bdd_nodes" in stream.getvalue()  # SPLLift's extra hook
+        IFDSSolver(UninitializedVariablesAnalysis(product_line.icfg)).solve()
+        assert reporter.updates - lifted == len(
+            self._pulses("ifds/tabulation")
+        ) > 0
+        assert "ifds/tabulation | pops 256" in stream.getvalue()
 
 
 class TestCompatStatsView:

@@ -6,8 +6,6 @@ import os
 import pytest
 
 from repro.obs.trace import (
-    NULL_TRACER,
-    NullTracer,
     Tracer,
     fold_trace,
     read_trace,
@@ -67,10 +65,8 @@ class TestTracer:
         parent.absorb(shipped)
         assert [e["name"] for e in parent.events()] == ["work", "work"]
 
-
-class TestNullTracer:
-    def test_everything_is_a_noop(self):
-        tracer = NullTracer()
+    def test_not_recording_buffers_nothing(self):
+        tracer = Tracer(recording=False)
         assert not tracer.enabled
         with tracer.span("ignored", key="value"):
             tracer.instant("ignored")
@@ -79,9 +75,10 @@ class TestNullTracer:
         assert tracer.drain() == []
         tracer.absorb([{"name": "x"}])
         assert tracer.events() == []
-
-    def test_shared_singleton(self):
-        assert NULL_TRACER.span("a") is NULL_TRACER.span("b")
+        # ...while the flight ring saw every event.
+        assert [e["kind"] for e in tracer.flight.events()] == [
+            "span_begin", "instant", "complete", "span_end",
+        ]
 
 
 class TestWriteTrace:

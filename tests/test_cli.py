@@ -370,7 +370,7 @@ class TestTelemetry:
         # The CLI tears tracing down after the run (in-process callers).
         from repro.obs import runtime as obs
 
-        assert not obs.tracing_enabled()
+        assert not obs.tracer().enabled
 
     def test_analyze_metrics_report(self, spl_file, tmp_path, capsys):
         import json
