@@ -22,9 +22,10 @@ cache miss and nothing per probe.  All traversals (``apply``, negation,
 cofactors, model counting, support, cube/model enumeration) run on
 explicit work stacks rather than Python recursion, so the engine handles
 orderings thousands of variables deep without tripping
-``sys.getrecursionlimit()``.  The manager also implements Rudell-style
-sifting (:meth:`sift`) for dynamic variable reordering; the paper's
-Section 5 leaves ordering as future work.
+``sys.getrecursionlimit()``.  The variable order is static: the
+``ordering`` given at construction, then declaration order (the paper's
+Section 5 leaves ordering as future work).  Node ids are never recycled
+and a node's level never changes, so the node columns are append-only.
 
 Example
 -------
@@ -40,7 +41,6 @@ from __future__ import annotations
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.bdd.tables import FALSE, TRUE, TERMINAL_LEVEL, NodeStore
-from repro.obs import runtime as obs
 
 __all__ = ["BDDManager", "BDDError"]
 
@@ -110,9 +110,6 @@ class BDDManager:
         self._apply_misses = 0
         self._apply_calls = 0
         self._cache_flushes = 0
-        # Reordering counters.
-        self._reorders = 0
-        self._reorder_swaps = 0
         if ordering is not None:
             for name in ordering:
                 self.var(name)
@@ -247,22 +244,6 @@ class BDDManager:
             push(high_[current])
         return len(seen)
 
-    def total_nodes(self) -> int:
-        """Size of the node columns (terminals included).
-
-        Retired slots awaiting reuse count too; this is the storage
-        footprint, not the live-node count (see :meth:`live_nodes`).
-        """
-        return len(self._store.level)
-
-    def live_nodes(self) -> int:
-        """Number of registered (unique-table) internal nodes plus terminals.
-
-        Unlike :meth:`total_nodes` this excludes nodes retired by
-        :meth:`sift`; it is the size metric reorder triggers should use.
-        """
-        return len(self._store.unique) + 2
-
     # ------------------------------------------------------------------
     # Boolean operations
     # ------------------------------------------------------------------
@@ -282,7 +263,6 @@ class BDDManager:
         level_, low_, high_ = store.level, store.low, store.high
         unique = store.unique
         unique_get = unique.get
-        free = store.free
         s = store.shift
         limit = store.limit
         stack = [node]
@@ -311,22 +291,15 @@ class BDDManager:
             mkey = ((level << s) | nlow) << s | nhigh
             res = unique_get(mkey)
             if res is None:
-                if free:
-                    res = free.pop()
-                    level_[res] = level
-                    low_[res] = nlow
-                    high_[res] = nhigh
-                    unique[mkey] = res
-                else:
-                    res = len(level_)
-                    level_.append(level)
-                    low_.append(nlow)
-                    high_.append(nhigh)
-                    unique[mkey] = res
-                    if res + 1 >= limit:
-                        store.grow()
-                        s = store.shift
-                        limit = store.limit
+                res = len(level_)
+                level_.append(level)
+                low_.append(nlow)
+                high_.append(nhigh)
+                unique[mkey] = res
+                if res + 1 >= limit:
+                    store.grow()
+                    s = store.shift
+                    limit = store.limit
             cache[current] = res
         return cache[node]
 
@@ -413,11 +386,11 @@ class BDDManager:
     # pair's packed cache key, computed once at probe time, so the
     # combine step never re-packs (store growth re-shifts packing, so the
     # mk path repacks every in-flight frame key when it triggers a grow).
-    # The combine loop interns the node (free-list reuse, then append
-    # with amortized-doubling growth), caches the pair's result and feeds
-    # it into the parent frame — probing the parent's high pair inline so
-    # a frame is popped the moment its second half arrives.  At most one
-    # frame and zero tuples per cache miss.
+    # The combine loop interns the node (append with amortized-doubling
+    # growth), caches the pair's result and feeds it into the parent
+    # frame — probing the parent's high pair inline so a frame is popped
+    # the moment its second half arrives.  At most one frame and zero
+    # tuples per cache miss.
 
     def _apply_and(self, a: int, b: int, FALSE=FALSE, TRUE=TRUE) -> int:
         """AND kernel; operands are internal, normalized ``a < b``, and
@@ -439,7 +412,6 @@ class BDDManager:
         level_, low_, high_ = store.level, store.low, store.high
         unique = store.unique
         unique_get = unique.get
-        free = store.free
         cache_get = cache.get
         stack: List[list] = []
         push = stack.append
@@ -499,32 +471,25 @@ class BDDManager:
                     mkey = ((level << s) | r0) << s | res
                     node = unique_get(mkey)
                     if node is None:
-                        if free:
-                            node = free.pop()
-                            level_[node] = level
-                            low_[node] = r0
-                            high_[node] = res
-                            unique[mkey] = node
-                        else:
-                            node = len(level_)
-                            level_.append(level)
-                            low_.append(r0)
-                            high_.append(res)
-                            unique[mkey] = node
-                            if node + 1 >= limit:
-                                # Growth re-shifts key packing: repack
-                                # the in-flight pair keys (store.grow()
-                                # already re-keyed the unique table and
-                                # cleared the caches in place).
-                                old = s
-                                store.grow()
-                                s = store.shift
-                                limit = store.limit
-                                mask = (1 << old) - 1
-                                key = ((key >> old) << s) | (key & mask)
-                                for fr in stack:
-                                    k = fr[0]
-                                    fr[0] = ((k >> old) << s) | (k & mask)
+                        node = len(level_)
+                        level_.append(level)
+                        low_.append(r0)
+                        high_.append(res)
+                        unique[mkey] = node
+                        if node + 1 >= limit:
+                            # Growth re-shifts key packing: repack the
+                            # in-flight pair keys (store.grow() already
+                            # re-keyed the unique table and cleared the
+                            # caches in place).
+                            old = s
+                            store.grow()
+                            s = store.shift
+                            limit = store.limit
+                            mask = (1 << old) - 1
+                            key = ((key >> old) << s) | (key & mask)
+                            for fr in stack:
+                                k = fr[0]
+                                fr[0] = ((k >> old) << s) | (k & mask)
                     res = node
                 cache[key] = res
                 if not stack:
@@ -574,7 +539,6 @@ class BDDManager:
         level_, low_, high_ = store.level, store.low, store.high
         unique = store.unique
         unique_get = unique.get
-        free = store.free
         cache_get = cache.get
         stack: List[list] = []
         push = stack.append
@@ -628,28 +592,21 @@ class BDDManager:
                     mkey = ((level << s) | r0) << s | res
                     node = unique_get(mkey)
                     if node is None:
-                        if free:
-                            node = free.pop()
-                            level_[node] = level
-                            low_[node] = r0
-                            high_[node] = res
-                            unique[mkey] = node
-                        else:
-                            node = len(level_)
-                            level_.append(level)
-                            low_.append(r0)
-                            high_.append(res)
-                            unique[mkey] = node
-                            if node + 1 >= limit:
-                                old = s
-                                store.grow()
-                                s = store.shift
-                                limit = store.limit
-                                mask = (1 << old) - 1
-                                key = ((key >> old) << s) | (key & mask)
-                                for fr in stack:
-                                    k = fr[0]
-                                    fr[0] = ((k >> old) << s) | (k & mask)
+                        node = len(level_)
+                        level_.append(level)
+                        low_.append(r0)
+                        high_.append(res)
+                        unique[mkey] = node
+                        if node + 1 >= limit:
+                            old = s
+                            store.grow()
+                            s = store.shift
+                            limit = store.limit
+                            mask = (1 << old) - 1
+                            key = ((key >> old) << s) | (key & mask)
+                            for fr in stack:
+                                k = fr[0]
+                                fr[0] = ((k >> old) << s) | (k & mask)
                     res = node
                 cache[key] = res
                 if not stack:
@@ -697,7 +654,6 @@ class BDDManager:
         level_, low_, high_ = store.level, store.low, store.high
         unique = store.unique
         unique_get = unique.get
-        free = store.free
         cache_get = cache.get
         stack: List[list] = []
         push = stack.append
@@ -751,28 +707,21 @@ class BDDManager:
                     mkey = ((level << s) | r0) << s | res
                     node = unique_get(mkey)
                     if node is None:
-                        if free:
-                            node = free.pop()
-                            level_[node] = level
-                            low_[node] = r0
-                            high_[node] = res
-                            unique[mkey] = node
-                        else:
-                            node = len(level_)
-                            level_.append(level)
-                            low_.append(r0)
-                            high_.append(res)
-                            unique[mkey] = node
-                            if node + 1 >= limit:
-                                old = s
-                                store.grow()
-                                s = store.shift
-                                limit = store.limit
-                                mask = (1 << old) - 1
-                                key = ((key >> old) << s) | (key & mask)
-                                for fr in stack:
-                                    k = fr[0]
-                                    fr[0] = ((k >> old) << s) | (k & mask)
+                        node = len(level_)
+                        level_.append(level)
+                        low_.append(r0)
+                        high_.append(res)
+                        unique[mkey] = node
+                        if node + 1 >= limit:
+                            old = s
+                            store.grow()
+                            s = store.shift
+                            limit = store.limit
+                            mask = (1 << old) - 1
+                            key = ((key >> old) << s) | (key & mask)
+                            for fr in stack:
+                                k = fr[0]
+                                fr[0] = ((k >> old) << s) | (k & mask)
                     res = node
                 cache[key] = res
                 if not stack:
@@ -925,7 +874,6 @@ class BDDManager:
         level_, low_, high_ = store.level, store.low, store.high
         unique = store.unique
         unique_get = unique.get
-        free = store.free
         vbit = 1 if value else 0
         results: List[int] = []
         rpush = results.append
@@ -946,22 +894,15 @@ class BDDManager:
                     mkey = ((lvl << s) | low_r) << s | high_r
                     res = unique_get(mkey)
                     if res is None:
-                        if free:
-                            res = free.pop()
-                            level_[res] = lvl
-                            low_[res] = low_r
-                            high_[res] = high_r
-                            unique[mkey] = res
-                        else:
-                            res = len(level_)
-                            level_.append(lvl)
-                            low_.append(low_r)
-                            high_.append(high_r)
-                            unique[mkey] = res
-                            if res + 1 >= limit:
-                                store.grow()
-                                s = store.shift
-                                limit = store.limit
+                        res = len(level_)
+                        level_.append(lvl)
+                        low_.append(low_r)
+                        high_.append(high_r)
+                        unique[mkey] = res
+                        if res + 1 >= limit:
+                            store.grow()
+                            s = store.shift
+                            limit = store.limit
                 results[-1] = res
                 cache[((current << s) | level) << 1 | vbit] = res
                 continue
@@ -1157,7 +1098,7 @@ class BDDManager:
                     f"model variable set misses support variables: "
                     f"{sorted(missing)}"
                 )
-        # If `over` is not in manager order, reorder internally but emit
+        # If `over` is not in manager order, sort it internally but emit
         # dicts keyed by all names anyway; dict key order does not affect
         # semantics.
         levels = [self._var_level.get(n, _TERMINAL_LEVEL) for n in names]
@@ -1229,102 +1170,6 @@ class BDDManager:
                 current = high_[current]
         return model
 
-    # ------------------------------------------------------------------
-    # Dynamic variable reordering (Rudell sifting)
-    # ------------------------------------------------------------------
-
-    def sift(
-        self,
-        roots: Iterable[int],
-        first: Sequence[str] = (),
-        max_growth: float = 1.2,
-    ) -> int:
-        """Rudell-style sifting over the nodes reachable from ``roots``.
-
-        Every externally held node handle **must** be listed in ``roots``;
-        handles in ``roots`` keep their ids and keep denoting the same
-        Boolean function across the reorder (levels of their internal nodes
-        change, unreferenced nodes are retired from the unique table and
-        their column slots recycled through the store's free list).
-        Operation caches are cleared afterwards, since cached results may
-        reference retired nodes.
-
-        Parameters
-        ----------
-        roots:
-            All live node handles (duplicates and terminals are fine).
-        first:
-            Variable names to sift before all others (e.g. feature-model
-            variables, which dominate the lifted constraint BDDs).
-        max_growth:
-            Abort a sift direction once the live size exceeds
-            ``max_growth *`` the best size seen for the variable.
-
-        Returns
-        -------
-        The live node count (internal nodes reachable from ``roots``) after
-        reordering.
-        """
-        nvars = len(self._level_var)
-        root_set = {r for r in roots if r > TRUE}
-        for r in root_set:
-            self._check(r)
-        store = self._store
-        level_, low_, high_ = store.level, store.low, store.high
-        # Session liveness: reachable set, per-level live sets, refcounts.
-        live: Set[int] = set()
-        stack = list(root_set)
-        while stack:
-            n = stack.pop()
-            if n <= TRUE or n in live:
-                continue
-            live.add(n)
-            stack.append(low_[n])
-            stack.append(high_[n])
-        size = len(live)
-        if nvars < 2 or not live:
-            self._reorders += 1
-            obs.tracer().instant("bdd/reorder", before=size, after=size)
-            return size
-        live_at: List[Set[int]] = [set() for _ in range(nvars)]
-        ref: Dict[int, int] = {}
-        for n in live:
-            live_at[level_[n]].add(n)
-            for child in (low_[n], high_[n]):
-                if child > TRUE:
-                    ref[child] = ref.get(child, 0) + 1
-        for r in root_set:
-            ref[r] = ref.get(r, 0) + 1
-
-        # Sift order: `first` names (in the given order), then the remaining
-        # variables by descending live-node count, name as tiebreak.
-        first_names = [n for n in first if n in self._var_level]
-        rest = sorted(
-            (n for n in self._level_var if n not in set(first_names)),
-            key=lambda n: (-len(live_at[self._var_level[n]]), n),
-        )
-        session = _SiftSession(self, ref, live_at, size)
-        for name in first_names + rest:
-            session.sift_var(name, max_growth)
-
-        # Cached op results may reference retired nodes or depend on levels,
-        # and retired slots are about to be recycled by the free list.
-        self._and_cache.clear()
-        self._or_cache.clear()
-        self._xor_cache.clear()
-        self._not_cache.clear()
-        self._restrict_cache.clear()
-        self._satcount_cache.clear()
-        self._support_cache.clear()
-        self._reorders += 1
-        obs.tracer().instant(
-            "bdd/reorder",
-            before=size,
-            after=session.size,
-            swaps=self._reorder_swaps,
-        )
-        return session.size
-
     def cache_stats(self) -> Dict[str, object]:
         """Sizes and health of the internal tables (diagnostics, benches).
 
@@ -1343,7 +1188,6 @@ class BDDManager:
             "unique_shift": store.shift,
             "unique_rebuilds": store.rebuilds,
             "unique_load_factor": store.load_factor(),
-            "free_nodes": len(store.free),
             "apply_cache": apply_entries,
             "apply_cache_hits": self._apply_hits,
             "apply_cache_misses": self._apply_misses,
@@ -1352,8 +1196,6 @@ class BDDManager:
             "apply_cache_occupancy": apply_entries / (3 * _CACHE_CAPACITY),
             "not_cache": len(self._not_cache),
             "restrict_cache": len(self._restrict_cache),
-            "reorders": self._reorders,
-            "reorder_swaps": self._reorder_swaps,
         }
 
     # ------------------------------------------------------------------
@@ -1429,190 +1271,3 @@ class BDDManager:
         lines.append("}")
         return "\n".join(lines)
 
-
-class _SiftSession:
-    """Mutable state for one :meth:`BDDManager.sift` invocation.
-
-    Tracks per-level live sets, refcounts for the reachable sub-DAG, and the
-    live size, and implements the adjacent-level swap primitive that keeps
-    node ids denoting the same function (nodes are relabeled or rebuilt in
-    place; retired nodes are removed from the unique table and their column
-    slots handed to the store's free list for reuse).
-    """
-
-    __slots__ = ("mgr", "ref", "live_at", "size")
-
-    def __init__(
-        self,
-        mgr: BDDManager,
-        ref: Dict[int, int],
-        live_at: List[Set[int]],
-        size: int,
-    ) -> None:
-        self.mgr = mgr
-        self.ref = ref
-        self.live_at = live_at
-        self.size = size
-
-    def sift_var(self, name: str, max_growth: float) -> None:
-        """Sift variable ``name`` to its locally best level."""
-        mgr = self.mgr
-        nvars = len(mgr._level_var)
-        pos = mgr._var_level[name]
-        best_size, best_pos = self.size, pos
-        # Sweep down to the bottom, then up to the top, tracking the best
-        # (size, position); abort a direction on max_growth blowup.
-        p = pos
-        while p < nvars - 1 and self.size <= max_growth * best_size:
-            self._swap(p)
-            p += 1
-            if self.size < best_size:
-                best_size, best_pos = self.size, p
-        while p > 0 and self.size <= max_growth * best_size:
-            self._swap(p - 1)
-            p -= 1
-            if self.size < best_size:
-                best_size, best_pos = self.size, p
-        while p < best_pos:
-            self._swap(p)
-            p += 1
-        while p > best_pos:
-            self._swap(p - 1)
-            p -= 1
-
-    def _swap(self, x: int) -> None:
-        """Swap the variables at adjacent levels ``x`` and ``x + 1``.
-
-        Live nodes at ``x`` without a child at ``x + 1`` are relabeled down;
-        the rest are rebuilt in place from their four cofactors.  Surviving
-        nodes at ``x + 1`` are relabeled up.  Node ids in either group keep
-        denoting the same Boolean function.
-        """
-        mgr = self.mgr
-        store = mgr._store
-        y = x + 1
-        level_, low_, high_ = store.level, store.low, store.high
-        unique = store.unique
-        store_key = store.key
-        free = store.free
-        ref = self.ref
-        live_at = self.live_at
-        old_y = frozenset(live_at[y])
-        old_x = sorted(live_at[x])
-        # Unregister every live entry at both levels; they are re-registered
-        # as they are relabeled or rebuilt.  (Entries of untracked garbage
-        # nodes at these levels are overwritten on re-registration.)
-        for n in old_x:
-            key = store_key(x, low_[n], high_[n])
-            if unique.get(key) == n:
-                del unique[key]
-        for n in old_y:
-            key = store_key(y, low_[n], high_[n])
-            if unique.get(key) == n:
-                del unique[key]
-        new_x: Set[int] = set()
-        new_y: Set[int] = set()
-
-        rebuilt: List[int] = []
-        # Phase 1: relabel independent x-nodes down to y first, so the
-        # rebuild phase's mk can share them.
-        for n in old_x:
-            if low_[n] in old_y or high_[n] in old_y:
-                rebuilt.append(n)
-            else:
-                level_[n] = y
-                unique[store_key(y, low_[n], high_[n])] = n
-                new_y.add(n)
-
-        def mk_y(low: int, high: int) -> int:
-            if low == high:
-                return low
-            key = store_key(y, low, high)
-            hit = unique.get(key)
-            if hit is not None and hit in new_y:
-                return hit
-            if free:
-                node = free.pop()
-                level_[node] = y
-                low_[node] = low
-                high_[node] = high
-                unique[key] = node
-            else:
-                node = len(level_)
-                level_.append(y)
-                low_.append(low)
-                high_.append(high)
-                unique[key] = node
-                if node + 1 >= store.limit:
-                    store.grow()
-            new_y.add(node)
-            ref[node] = 0
-            if low > TRUE:
-                ref[low] = ref.get(low, 0) + 1
-            if high > TRUE:
-                ref[high] = ref.get(high, 0) + 1
-            self.size += 1
-            return node
-
-        def deref(node: int) -> None:
-            stack = [node]
-            while stack:
-                d = stack.pop()
-                if d <= TRUE:
-                    continue
-                ref[d] -= 1
-                if ref[d]:
-                    continue
-                del ref[d]
-                self.size -= 1
-                lvl = level_[d]
-                live_at[lvl].discard(d)
-                key = store_key(lvl, low_[d], high_[d])
-                if unique.get(key) == d:
-                    del unique[key]
-                stack.append(low_[d])
-                stack.append(high_[d])
-                # Safe to recycle immediately: a refcount of zero means no
-                # live node (and no pending rebuild — parents hold refs on
-                # their children until processed) can still read this row.
-                free.append(d)
-
-        # Phase 2: rebuild the dependent x-nodes in place from their four
-        # cofactors; fresh children land at level y.
-        for n in rebuilt:
-            low, high = low_[n], high_[n]
-            if low in old_y:
-                f00, f01 = low_[low], high_[low]
-            else:
-                f00 = f01 = low
-            if high in old_y:
-                f10, f11 = low_[high], high_[high]
-            else:
-                f10 = f11 = high
-            c0 = mk_y(f00, f10)
-            c1 = mk_y(f01, f11)
-            # A rebuilt node has a child testing the swapped-in variable, so
-            # it still depends on it: c0 != c1 and the node stays internal.
-            low_[n], high_[n] = c0, c1
-            unique[store_key(x, c0, c1)] = n
-            new_x.add(n)
-            if c0 > TRUE:
-                ref[c0] = ref.get(c0, 0) + 1
-            if c1 > TRUE:
-                ref[c1] = ref.get(c1, 0) + 1
-            deref(low)
-            deref(high)
-
-        # Phase 3: surviving y-nodes (still referenced) move up to x.
-        for survivor in live_at[y]:
-            level_[survivor] = x
-            unique[store_key(x, low_[survivor], high_[survivor])] = survivor
-            new_x.add(survivor)
-        live_at[x] = new_x
-        live_at[y] = new_y
-
-        u, v = mgr._level_var[x], mgr._level_var[y]
-        mgr._level_var[x], mgr._level_var[y] = v, u
-        mgr._var_level[u] = y
-        mgr._var_level[v] = x
-        mgr._reorder_swaps += 1

@@ -26,9 +26,9 @@ per insert, like vector doubling).  Caches whose keys embed the shift
 (registered via :attr:`grow_clears`) are flushed on rebuild — they are
 pure memoization, so flushing only costs re-computation.
 
-Retired node ids (from sifting's refcounted retirement) go on a
-**free list** and are reused by :meth:`mk` before the columns are
-extended, so repeated reorders no longer leak column growth.
+Node ids are never recycled and a node's level never changes (the
+variable order is static), so the columns are append-only: a node's id
+is its position in them.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ class NodeStore:
     protocol:
 
     1. pack the key with the *current* :attr:`shift`;
-    2. on a miss, reuse a free-list id if one exists, else append;
+    2. on a miss, append;
     3. insert into :attr:`unique` **before** checking for growth;
     4. if the appended id was the last one the packing can encode, call
        :meth:`grow` — and re-read :attr:`shift`/:attr:`limit` into any
@@ -72,7 +72,6 @@ class NodeStore:
         "unique",
         "shift",
         "limit",
-        "free",
         "rebuilds",
         "grow_clears",
     )
@@ -93,19 +92,12 @@ class NodeStore:
         self.unique: Dict[int, int] = {}
         self.shift = self.INITIAL_SHIFT
         self.limit = 1 << self.INITIAL_SHIFT
-        # Retired node ids available for reuse (filled by sifting).
-        self.free: List[int] = []
         self.rebuilds = 0
         # Caches keyed by shift-packed ints; cleared in place on grow()
         # so kernel locals aliasing them stay valid.
         self.grow_clears: Tuple[Dict[int, int], ...] = ()
 
     # ------------------------------------------------------------------
-
-    def key(self, level: int, low: int, high: int) -> int:
-        """Pack a node triple with the current shift."""
-        s = self.shift
-        return ((level << s) | low) << s | high
 
     def mk(self, level: int, low: int, high: int) -> int:
         """Find-or-create the node ``(level, low, high)`` (reduced form)."""
@@ -115,17 +107,10 @@ class NodeStore:
         key = ((level << s) | low) << s | high
         node = self.unique.get(key)
         if node is None:
-            free = self.free
-            if free:
-                node = free.pop()
-                self.level[node] = level
-                self.low[node] = low
-                self.high[node] = high
-            else:
-                node = len(self.level)
-                self.level.append(level)
-                self.low.append(low)
-                self.high.append(high)
+            node = len(self.level)
+            self.level.append(level)
+            self.low.append(low)
+            self.high.append(high)
             self.unique[key] = node
             if node + 1 >= self.limit:
                 self.grow()
@@ -156,14 +141,6 @@ class NodeStore:
         self.rebuilds += 1
 
     # ------------------------------------------------------------------
-
-    def retire(self, node: int) -> None:
-        """Put a dead node id on the free list for reuse by :meth:`mk`.
-
-        The caller must have removed the node's unique-table entry and
-        dropped every reference to it (sifting's refcounted retirement).
-        """
-        self.free.append(node)
 
     def load_factor(self) -> float:
         """Unique-table entries per encodable id — table-health gauge."""

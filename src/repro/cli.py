@@ -27,7 +27,9 @@ store, safe for concurrent schedulers on one host), or
 
 User errors — missing input files, unparseable feature models, unknown
 analysis names, bad manifests — exit with status 2 and a one-line
-``spllift: error: …`` message, never a traceback.
+``spllift: error: …`` message, never a traceback.  When stdout's reader
+goes away early (``spllift … | head``), the command ends silently with
+status 141 (128 + SIGPIPE).
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ from repro.analyses import (
     UninitializedVariablesAnalysis,
 )
 from repro.analyses.typestate import FILE_PROTOCOL, TypestateAnalysis
-from repro.constraints.bddsystem import REORDER_POLICIES
 from repro.core import SPLLift, compute_emergent_interface
 from repro.core.solver import SPLLiftResults
 from repro.datalog import resolve_engine
@@ -123,7 +124,6 @@ def _findings(
     product_line: ProductLine,
     analysis_name: str,
     fm_mode: str,
-    reorder: Optional[str] = None,
     worklist_order: Optional[str] = None,
     incremental_cache: Optional[str] = None,
     engine: Optional[str] = None,
@@ -144,9 +144,7 @@ def _findings(
     feature_model = product_line.feature_model if fm_mode != "ignore" else None
 
     def solve(analysis) -> SPLLiftResults:
-        spllift = SPLLift(
-            analysis, feature_model=feature_model, fm_mode=fm_mode, reorder=reorder
-        )
+        spllift = SPLLift(analysis, feature_model=feature_model, fm_mode=fm_mode)
         summaries = None
         if incremental_cache:
             from repro.ide.summaries import summary_cache_for
@@ -220,7 +218,6 @@ def _cmd_analyze(args) -> int:
         product_line,
         args.analysis,
         args.fm_mode,
-        reorder=args.reorder,
         worklist_order=args.worklist_order,
         incremental_cache=args.incremental_cache,
         engine=args.engine,
@@ -614,12 +611,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--stats", action="store_true", help="print solver statistics"
     )
     analyze.add_argument(
-        "--reorder",
-        choices=REORDER_POLICIES,
-        default=None,
-        help="dynamic BDD variable reordering (default: off)",
-    )
-    analyze.add_argument(
         "--worklist-order",
         choices=WORKLIST_ORDERS,
         default=None,
@@ -866,7 +857,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         code = args.handler(args)
         _telemetry_end(args)
+        sys.stdout.flush()  # a reader that has gone fails here, not at exit
         return code
+    except BrokenPipeError:
+        # stdout's reader has gone (`spllift … | head`): not a user error.
+        # Point stdout at devnull so the exit-time flush writes nothing,
+        # and end with 128 + SIGPIPE, the status a shell shows for a tool
+        # that SIGPIPE killed.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (
         ServiceError,
         FeatureModelError,

@@ -4,6 +4,8 @@ Constraints are thin wrappers around node ids of a shared
 :class:`~repro.bdd.BDDManager`.  Because ROBDDs are canonical, equality,
 ``is_false`` and ``is_true`` are constant-time — exactly the properties
 Section 5 of the paper identifies as crucial for SPLLIFT's performance.
+The variable order is the manager's static one (Section 5 leaves
+ordering as future work).
 """
 
 from __future__ import annotations
@@ -20,10 +22,7 @@ from repro.constraints.base import (
 )
 from repro.constraints.formula import Formula, parse_formula
 
-__all__ = ["BddConstraint", "BddConstraintSystem", "REORDER_POLICIES"]
-
-#: Valid dynamic-reordering policies.
-REORDER_POLICIES = ("off", "sift")
+__all__ = ["BddConstraint", "BddConstraintSystem"]
 
 
 class BddConstraint(Constraint):
@@ -94,74 +93,19 @@ class BddConstraintSystem(ConstraintSystem):
 
     name = "bdd"
 
-    #: Valid dynamic-reordering policies.
-    REORDER_POLICIES = REORDER_POLICIES
-
-    def __init__(
-        self,
-        manager: Optional[BDDManager] = None,
-        reorder: str = "off",
-        reorder_threshold: int = 4096,
-    ) -> None:
+    def __init__(self, manager: Optional[BDDManager] = None) -> None:
         self.manager = manager if manager is not None else BDDManager()
         self._true = BddConstraint(self, self.manager.true)
         self._false = BddConstraint(self, self.manager.false)
-        # Intern constraints by node so equal functions share a handle.  The
-        # interned handles are also the root set handed to the reorderer:
-        # every node a client can hold is (reachable from) one of these.
+        # Intern constraints by node so equal functions share a handle.
         self._interned: Dict[int, BddConstraint] = {
             self.manager.true: self._true,
             self.manager.false: self._false,
         }
-        self._sift_first: tuple = ()
-        self._next_reorder_at = 0
-        self.configure_reorder(reorder, threshold=reorder_threshold)
-
-    def configure_reorder(
-        self,
-        policy: str,
-        first: Sequence[str] = (),
-        threshold: Optional[int] = None,
-    ) -> None:
-        """Set the dynamic variable-reordering policy.
-
-        ``policy`` is ``"off"`` (default — Tables 1–3 stay bit-identical) or
-        ``"sift"`` (Rudell sifting once the manager's live node count crosses
-        the threshold, doubling the threshold after each reorder).  ``first``
-        names variables to sift before all others — the lifted solver seeds
-        it with the feature-model variables, which dominate the constraint
-        BDDs.
-        """
-        if policy not in self.REORDER_POLICIES:
-            raise ValueError(
-                f"unknown reorder policy {policy!r}; "
-                f"expected one of {self.REORDER_POLICIES}"
-            )
-        self.reorder_policy = policy
-        if first:
-            self._sift_first = tuple(first)
-        if threshold is not None:
-            self._reorder_threshold = threshold
-        if policy == "sift" and (threshold is not None or self._next_reorder_at == 0):
-            self._next_reorder_at = self._reorder_threshold
-
-    def _maybe_reorder(self, fresh_node: int) -> None:
-        if self.manager.live_nodes() < self._next_reorder_at:
-            return
-        roots = list(self._interned)
-        roots.append(fresh_node)
-        self.manager.sift(roots, first=self._sift_first)
-        # Double the trigger so steady growth reorders O(log n) times, and
-        # never re-trigger below twice the post-sift live size.
-        self._next_reorder_at = max(
-            self._next_reorder_at * 2, self.manager.live_nodes() * 2
-        )
 
     def _wrap(self, node: int) -> BddConstraint:
         constraint = self._interned.get(node)
         if constraint is None:
-            if self.reorder_policy != "off":
-                self._maybe_reorder(node)
             constraint = BddConstraint(self, node)
             self._interned[node] = constraint
         return constraint
@@ -180,8 +124,6 @@ class BddConstraintSystem(ConstraintSystem):
             "bdd_apply_cache_misses": stats["apply_cache_misses"],
             "unique_load_factor": stats["unique_load_factor"],
             "apply_cache_occupancy": stats["apply_cache_occupancy"],
-            "reorders": stats["reorders"],
-            "reorder_swaps": stats["reorder_swaps"],
         }
 
     def wrap_node(self, node: int) -> BddConstraint:

@@ -237,7 +237,6 @@ class LiftedProblem(IDEProblem[D, Constraint]):
         system: ConstraintSystem,
         feature_model: Optional[Constraint] = None,
         fm_mode: str = "edge",
-        reorder: Optional[str] = None,
     ) -> None:
         if fm_mode not in FM_MODES:
             raise ValueError(f"fm_mode must be one of {FM_MODES}, got {fm_mode!r}")
@@ -261,14 +260,6 @@ class LiftedProblem(IDEProblem[D, Constraint]):
         self.edge_table = EdgeFunctionTable(system)
         self._true_edge = self.edge_table.edge(system.true & self._edge_label_fm)
         self._seed_edge = self.edge_table.edge(system.true)
-        if reorder is not None and hasattr(system, "configure_reorder"):
-            # Seed the sifting order with the feature-model variables, which
-            # appear in (nearly) every constraint of the lifted solve.
-            first: tuple = ()
-            fm = self.feature_model
-            if hasattr(fm, "node") and hasattr(system, "manager"):
-                first = tuple(sorted(system.manager.support(fm.node)))
-            system.configure_reorder(reorder, first=first)
 
     # ------------------------------------------------------------------
     # Constraint helpers

@@ -135,9 +135,7 @@ class SPLLiftResults(Generic[D]):
         prefix and each fact's ``repr`` is rendered once per call: equal
         constraints share one handle (one BDD node, one DNF cube set), and
         a pass holds far fewer of them than lines.  The memos live only
-        for the call, and rendering creates no BDD nodes, so no variable
-        reordering (which changes how a constraint renders) can happen
-        while they are in use.
+        for the call.
         """
         prefixes: Dict[Instruction, str] = {}
         facts: Dict[D, str] = {}
@@ -181,7 +179,6 @@ class SPLLift(Generic[D]):
         feature_model: Optional[Union[Constraint, FeatureModel]] = None,
         system: Optional[ConstraintSystem] = None,
         fm_mode: str = "edge",
-        reorder: Optional[str] = None,
     ) -> None:
         """
         Parameters
@@ -197,10 +194,6 @@ class SPLLift(Generic[D]):
         fm_mode:
             One of ``"edge"`` (paper's choice), ``"seed"`` (rejected
             variant) or ``"ignore"`` — see Section 4.2.
-        reorder:
-            Dynamic BDD variable-reordering policy (``"off"``/``"sift"``);
-            ``None`` keeps the constraint system's configured policy (off
-            by default, keeping Tables 1–3 bit-identical).
         """
         self.system = system if system is not None else BddConstraintSystem()
         if feature_model is None:
@@ -214,7 +207,7 @@ class SPLLift(Generic[D]):
             raise ValueError(f"fm_mode must be one of {FM_MODES}, got {fm_mode!r}")
         self.fm_mode = fm_mode
         self.problem = LiftedProblem(
-            analysis, self.system, fm_constraint, fm_mode=fm_mode, reorder=reorder
+            analysis, self.system, fm_constraint, fm_mode=fm_mode
         )
         self.analysis = analysis
 

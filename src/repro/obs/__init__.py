@@ -1,10 +1,10 @@
 """`repro.obs` — zero-dependency telemetry: metrics, tracing, progress,
 flight recording and structured logging.
 
-Events travel one path per process: the one tracer sends every span,
-instant and complete span to the always-on flight ring and, while a
-trace file is recorded, to its Chrome buffer; :func:`pulse` is the one
-heartbeat of long-running loops (ring, plus the ``--progress`` line);
+Events travel one path per process: the one tracer sends every span
+and complete span to the always-on flight ring and, while a trace file
+is recorded, to its Chrome buffer; :func:`pulse` is the one heartbeat
+of long-running loops (ring, plus the ``--progress`` line);
 :func:`log_event` writes the ring and, with ``--log``, the JSONL file.
 
 Import discipline: this package must import **only the standard

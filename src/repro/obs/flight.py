@@ -1,7 +1,7 @@
 """The flight recorder: an always-on, bounded ring of recent events.
 
 A :class:`FlightRecorder` is the black box of one process.  Every span
-begin/end, instant and complete span of the process's tracer, every
+begin/end and complete span of the process's tracer, every
 counter publication, log line and worklist heartbeat (``obs.pulse``)
 lands here — in a fixed-capacity ring buffer whose append is one deque
 operation, so the always-on cost rides the same "phase boundaries only,

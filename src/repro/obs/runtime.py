@@ -140,10 +140,11 @@ def ensure_run_id() -> str:
 
 def enable_tracing() -> Tracer:
     """Start recording trace events (idempotent) and mark the
-    environment so worker processes record too."""
+    environment so worker processes record too.  Mints the run id that
+    trace labels, metrics reports and workers inherit."""
     tracer = _state.tracer
     if not tracer.enabled:
-        tracer.run_id = ensure_run_id()
+        ensure_run_id()
         tracer.enabled = True
         os.environ[TELEMETRY_ENV] = "1"
     return tracer
@@ -280,7 +281,6 @@ def activate_worker() -> None:
     )
     _state.tracer = Tracer(
         FlightRecorder(spill_path=spill_path),
-        run_id=run_id(),
         recording=os.environ.get(TELEMETRY_ENV) == "1",
     )
     if _state.log is not None:

@@ -1,15 +1,16 @@
 """Span-based tracing in the Chrome ``trace_event`` format.
 
-One :class:`Tracer` per process sees every span, instant event and
-retrospective complete span.  Each of them always reaches the
-process's flight ring (:class:`~repro.obs.flight.FlightRecorder`, the
-tracer owns it); while a trace file is being recorded (``enabled``),
-each is also buffered as Chrome begin/end pairs (``ph: "B"``/``"E"``)
-and instants (``ph: "i"``), timestamped with the monotonic clock in
-microseconds — the unit Chrome's format specifies.  On Linux
-``time.perf_counter`` reads the system-wide ``CLOCK_MONOTONIC``, so
-events recorded in forked worker processes merge with the parent's on
-one consistent timeline.
+One :class:`Tracer` per process sees every span and retrospective
+complete span.  Each of them always reaches the process's flight ring
+(:class:`~repro.obs.flight.FlightRecorder`, the tracer owns it); while a
+trace file is being recorded (``enabled``), each is also buffered as a
+Chrome begin/end pair (``ph: "B"``/``"E"``), timestamped with the
+monotonic clock in microseconds — the unit Chrome's format specifies.
+On Linux ``time.perf_counter`` reads the system-wide
+``CLOCK_MONOTONIC``, so events recorded in forked worker processes
+merge with the parent's on one consistent timeline.  Readers still
+accept instants (``ph: "i"``) from trace files written by older
+versions.
 
 :func:`write_trace` emits a file that is simultaneously
 
@@ -77,12 +78,10 @@ class Tracer:
     def __init__(
         self,
         flight: Optional[FlightRecorder] = None,
-        run_id: Optional[str] = None,
         recording: bool = True,
     ) -> None:
         #: The flight ring every event reaches, recording or not.
         self.flight = flight if flight is not None else FlightRecorder()
-        self.run_id = run_id
         #: True while a trace file is being recorded: only then are
         #: Chrome events buffered.
         self.enabled = recording
@@ -94,12 +93,11 @@ class Tracer:
 
     def _buffer(
         self, ph: str, name: str, ts: float, tid: int, args: Optional[dict]
-    ) -> dict:
+    ) -> None:
         event = {"name": name, "ph": ph, "ts": ts, "pid": self._pid, "tid": tid}
         if args:
             event["args"] = args
         self._events.append(event)
-        return event
 
     def _emit(self, ph: str, name: str, args: Optional[dict]) -> None:
         if ph == "B":
@@ -112,15 +110,6 @@ class Tracer:
     def span(self, name: str, **args) -> _Span:
         """Context manager tracing one nested span."""
         return _Span(self, name, args or None)
-
-    def instant(self, name: str, **args) -> None:
-        """A point-in-time event (``ph: "i"``, e.g. a BDD reorder)."""
-        self.flight.record("instant", name, **args)
-        if self.enabled:
-            event = self._buffer(
-                "i", name, time.perf_counter() * 1e6, self._tid, args
-            )
-            event["s"] = "p"  # instant scope: process
 
     def complete(
         self,

@@ -21,6 +21,11 @@ Canonical hashing:
   solver options (keys starting with ``_`` are test/debug hooks and do
   not change the result, so they are excluded).
 
+The public options are the :data:`JOB_OPTIONS` — ``engine``,
+``worklist_order`` and ``order_seed`` — and a job whose public options
+name any other key, or a malformed value, is a :class:`ServiceError`
+when it is built, before any job of its batch runs.
+
 Batch manifests (``spllift batch <manifest>``) are JSON::
 
     {"jobs": [
@@ -60,8 +65,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
+from repro.datalog import resolve_engine
 from repro.featuremodel.model import FeatureModel
 from repro.featuremodel.printer import render_feature_model
+from repro.ide.solver import resolve_worklist_order
 from repro.ifds.problem import IFDSProblem
 from repro.ir.icfg import ICFG
 
@@ -69,6 +76,7 @@ __all__ = [
     "ServiceError",
     "AnalysisJob",
     "ANALYSIS_ALIASES",
+    "JOB_OPTIONS",
     "BatchPlan",
     "canonical_analysis_name",
     "resolve_analysis",
@@ -183,6 +191,14 @@ def _sha256_text(text: str) -> str:
 # The job itself
 # ----------------------------------------------------------------------
 
+#: The public job options — the ``SPLLift.solve`` keyword arguments a job
+#: may set — each with the check its value must pass.
+JOB_OPTIONS: Dict[str, Callable[[object], object]] = {
+    "engine": resolve_engine,
+    "worklist_order": resolve_worklist_order,
+    "order_seed": int,
+}
+
 
 @dataclass(frozen=True)
 class AnalysisJob:
@@ -204,6 +220,28 @@ class AnalysisJob:
             raise ServiceError(
                 f"fm_mode must be edge/seed/ignore, got {self.fm_mode!r}"
             )
+        self.solve_options()  # reject unknown or malformed options now
+
+    def solve_options(self) -> Dict[str, object]:
+        """The ``SPLLift.solve`` keyword arguments the public options
+        set, each value checked by its :data:`JOB_OPTIONS` entry.
+
+        Raises :class:`ServiceError` naming an unknown or malformed
+        option; ``_``-prefixed test hooks are not checked.
+        """
+        selected: Dict[str, object] = {}
+        for key, value in self.public_options.items():
+            check = JOB_OPTIONS.get(key)
+            if check is None:
+                raise ServiceError(
+                    f"unknown job option {key!r} "
+                    f"(known: {', '.join(sorted(JOB_OPTIONS))})"
+                )
+            try:
+                selected[key] = check(value)
+            except (TypeError, ValueError) as error:
+                raise ServiceError(f"job option {key!r}: {error}") from None
+        return selected
 
     # -- digests -------------------------------------------------------
 

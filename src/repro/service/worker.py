@@ -108,21 +108,14 @@ def _execute_job(job: AnalysisJob) -> Dict[str, object]:
     feature_model = (
         product_line.feature_model if job.fm_mode != "ignore" else None
     )
-    options = job.public_options
-    reorder = options.get("reorder")
     spllift = SPLLift(
-        analysis,
-        feature_model=feature_model,
-        fm_mode=job.fm_mode,
-        reorder=str(reorder) if reorder is not None else None,
+        analysis, feature_model=feature_model, fm_mode=job.fm_mode
     )
-    engine = options.get("engine")
+    # A job that sets no worklist order runs fifo whatever
+    # $SPLLIFT_WORKLIST_ORDER says; its other options default as in solve.
+    options = {"worklist_order": "fifo", **job.solve_options()}
     started = time.perf_counter()
-    results = spllift.solve(
-        worklist_order=str(options.get("worklist_order", "fifo")),
-        order_seed=int(options.get("order_seed", 0)),
-        engine=str(engine) if engine is not None else None,
-    )
+    results = spllift.solve(**options)
     elapsed = time.perf_counter() - started
     return build_record(job, results, solve_seconds=elapsed)
 

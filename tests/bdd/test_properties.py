@@ -1,10 +1,12 @@
-"""Property-based tests: BDD semantics against brute-force evaluation."""
+"""Property-based tests: BDD semantics against brute-force evaluation,
+and the balanced n-ary folds against pairwise folds."""
 
 import itertools
 
 from hypothesis import given, settings, strategies as st
 
 from repro.bdd import BDDManager
+from repro.constraints.bddsystem import BddConstraintSystem
 from repro.constraints.formula import (
     And,
     FalseConst,
@@ -121,3 +123,25 @@ def test_models_satisfy_formula(formula):
     node = formula.to_bdd(mgr)
     for model in mgr.iter_models(node, VARS):
         assert formula.evaluate(model)
+
+
+@given(st.lists(formulas(), min_size=1, max_size=6))
+@settings(max_examples=100, deadline=None)
+def test_or_all_matches_pairwise_fold(forms):
+    system = BddConstraintSystem()
+    constraints = [system.from_formula(f) for f in forms]
+    folded = system.false
+    for constraint in constraints:
+        folded = system.or_(folded, constraint)
+    assert system.or_all(constraints) is folded
+
+
+@given(st.lists(formulas(), min_size=1, max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_and_all_matches_pairwise_fold(forms):
+    mgr = BDDManager(ordering=VARS)
+    nodes = [f.to_bdd(mgr) for f in forms]
+    folded = mgr.true
+    for node in nodes:
+        folded = mgr.and_(folded, node)
+    assert mgr.and_all(nodes) == folded

@@ -1,4 +1,4 @@
-"""Tests for the data-oriented node store (packed keys, growth, free list)."""
+"""Tests for the data-oriented node store (packed keys, growth)."""
 
 import pytest
 
@@ -60,17 +60,6 @@ class TestNodeStore:
         assert store.rebuilds >= 1
         assert alias == {} and alias is cache
 
-    def test_free_list_reuse(self):
-        store = NodeStore()
-        n = store.mk(0, FALSE, TRUE)
-        key = store.key(0, FALSE, TRUE)
-        del store.unique[key]
-        store.retire(n)
-        m = store.mk(1, TRUE, FALSE)
-        assert m == n  # slot recycled, columns rewritten
-        assert store.level[m] == 1
-        assert len(store.level) == 3  # terminals + one recycled slot
-
     def test_load_factor(self):
         store = NodeStore()
         assert store.load_factor() == 0.0
@@ -117,37 +106,3 @@ class TestManagerGrowth:
         with pytest.raises(BDDError):
             mgr.not_(10_000_000)
 
-
-class TestSiftRetirement:
-    def test_sift_recycles_retired_slots(self):
-        mgr = BDDManager()
-        xs = [mgr.var(f"x{i}") for i in range(8)]
-        # An order-sensitive function: pairs (x0&x4) | (x1&x5) | ...
-        f = mgr.or_all(mgr.and_(xs[i], xs[i + 4]) for i in range(4))
-        mgr.sift([f])
-        free_after_first = len(mgr._store.free)
-        total_after_first = mgr.total_nodes()
-        # Build more structure; retired slots must be reused before the
-        # columns grow.
-        g = mgr.and_(f, xs[0])
-        assert mgr.total_nodes() <= total_after_first + max(
-            0, 4 - free_after_first
-        ) + 4
-        # Repeated sifting of the same roots must not leak column growth.
-        for _ in range(3):
-            mgr.sift([f, g])
-        assert mgr.total_nodes() <= total_after_first + 8
-
-    def test_sift_preserves_semantics_with_reuse(self):
-        mgr = BDDManager()
-        names = [f"x{i}" for i in range(6)]
-        xs = [mgr.var(n) for n in names]
-        f = mgr.or_all(mgr.and_(xs[i], xs[(i + 3) % 6]) for i in range(6))
-        models_before = list(mgr.iter_models(f))
-        count_before = mgr.satcount(f)
-        for _ in range(2):
-            mgr.sift([f])
-        assert mgr.satcount(f) == count_before
-        assert sorted(
-            tuple(sorted(m.items())) for m in mgr.iter_models(f)
-        ) == sorted(tuple(sorted(m.items())) for m in models_before)

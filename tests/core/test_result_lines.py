@@ -3,7 +3,7 @@
 ``SPLLiftResults.result_lines`` renders each distinct constraint,
 statement prefix and fact once per call.  Every test here compares it
 against the plain per-pair rendering, byte for byte, on both constraint
-backends and across a BDD variable reordering.
+backends.
 """
 
 import pytest
@@ -16,7 +16,7 @@ from repro.analyses import (
     TaintAnalysis,
     UninitializedVariablesAnalysis,
 )
-from repro.constraints import BddConstraintSystem, DnfConstraintSystem
+from repro.constraints import DnfConstraintSystem
 from repro.core import SPLLift
 from repro.core.solver import SPLLiftResults, lines_digest
 from repro.service import AnalysisJob, build_record
@@ -84,30 +84,6 @@ def test_generated_subjects(seed, density, analysis_class):
     )
     results = solve(generate_subject(spec), analysis_class)
     assert results.result_lines() == reference_lines(results)
-
-
-class TestAcrossReordering:
-    def test_sifted_solve(self):
-        system = BddConstraintSystem(reorder="sift", reorder_threshold=8)
-        results = solve(gpl_like(), PossibleTypesAnalysis, system=system)
-        assert results.stats["reorders"] > 0
-        assert results.result_lines() == reference_lines(results)
-
-    def test_render_sift_render(self):
-        """No rendering outlives its call: a sift between two calls
-        changes no line that the reference would not change too."""
-        system = BddConstraintSystem()
-        results = solve(device_spl(), ReachingDefinitionsAnalysis, system=system)
-        first = results.result_lines()
-        assert first == reference_lines(results)
-        before = system.solver_stats()["reorders"]
-        system.configure_reorder("sift", threshold=1)
-        system.parse("Fresh & (A | !Fresh)")
-        assert system.solver_stats()["reorders"] > before
-        second = results.result_lines()
-        # The new variable order renders the same constraints differently.
-        assert second != first
-        assert second == reference_lines(results)
 
 
 @pytest.mark.parametrize("product_line", [figure1, device_spl], ids=["figure1", "device"])

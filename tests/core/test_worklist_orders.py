@@ -135,4 +135,3 @@ class TestLiftedDigestIdentity:
         assert results.stats["worklist_order"] == "rpo"
         assert results.stats["bdd_nodes"] > 0
         assert "bdd_apply_calls" in results.stats
-        assert "reorder_swaps" in results.stats

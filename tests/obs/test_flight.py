@@ -159,19 +159,18 @@ class TestFlightTracer:
         assert recorder.events()[0]["subject"] == "fig1"
         assert tracer.events() == []
 
-    def test_instant_and_complete_feed_the_ring(self):
+    def test_complete_spans_feed_the_ring(self):
         recorder = FlightRecorder(capacity=8)
         tracer = Tracer(recorder, recording=False)
-        tracer.instant("marker", k=1)
         tracer.complete("work", 0, 500, n=2)
-        kinds = [e["kind"] for e in recorder.events()]
-        assert kinds == ["instant", "complete"]
-        assert recorder.events()[1]["duration_us"] == 500.0
+        (event,) = recorder.events()
+        assert event["kind"] == "complete"
+        assert event["duration_us"] == 500.0
         assert tracer.events() == []
 
     def test_real_tracer_feeds_the_ring_too(self):
         recorder = FlightRecorder(capacity=8)
-        tracer = Tracer(run_id="r", flight=recorder)
+        tracer = Tracer(flight=recorder)
         with tracer.span("solve"):
             pass
         assert [e["kind"] for e in recorder.events()] == [

@@ -30,6 +30,7 @@ class TestRuntimeState:
         assert first is second
         assert obs.tracer().enabled
         assert os.environ[obs.TELEMETRY_ENV] == "1"
+        assert obs.run_id()  # minted for trace labels and workers
         obs.disable_tracing()
         assert not obs.tracer().enabled
         assert obs.TELEMETRY_ENV not in os.environ
@@ -41,10 +42,6 @@ class TestRuntimeState:
         assert os.environ[obs.RUN_ID_ENV] == minted
         assert obs.run_id() == minted
         assert len(minted) == 16
-
-    def test_tracer_carries_run_id(self):
-        tracer = obs.enable_tracing()
-        assert tracer.run_id == obs.run_id()
 
     def test_publish_stats_skips_non_counters(self):
         obs.publish_stats(

@@ -39,14 +39,6 @@ class TestTracer:
                 raise RuntimeError("boom")
         assert [e["ph"] for e in tracer.events()] == ["B", "E"]
 
-    def test_instant_event(self):
-        tracer = Tracer()
-        tracer.instant("bdd/reorder", before=10, after=4)
-        (event,) = tracer.events()
-        assert event["ph"] == "i"
-        assert event["s"] == "p"
-        assert event["args"] == {"before": 10, "after": 4}
-
     def test_complete_lands_on_requested_tid(self):
         tracer = Tracer()
         tracer.complete("pool/dispatch", 100.0, 250.0, tid=4242, index=1)
@@ -69,7 +61,6 @@ class TestTracer:
         tracer = Tracer(recording=False)
         assert not tracer.enabled
         with tracer.span("ignored", key="value"):
-            tracer.instant("ignored")
             tracer.complete("ignored", 0.0, 1.0)
         assert tracer.events() == []
         assert tracer.drain() == []
@@ -77,7 +68,7 @@ class TestTracer:
         assert tracer.events() == []
         # ...while the flight ring saw every event.
         assert [e["kind"] for e in tracer.flight.events()] == [
-            "span_begin", "instant", "complete", "span_end",
+            "span_begin", "complete", "span_end",
         ]
 
 
@@ -85,10 +76,10 @@ class TestWriteTrace:
     def test_file_is_json_array_one_event_per_line(self, tmp_path):
         tracer = Tracer()
         with tracer.span("solve"):
-            tracer.instant("mark")
+            tracer.complete("mark", 0.0, 1.0)
         path = tmp_path / "trace.json"
         count = write_trace(tracer.events(), path)
-        assert count == 3  # metadata rows not counted
+        assert count == 4  # metadata rows not counted
         text = path.read_text()
         document = json.loads(text)
         assert isinstance(document, list)

@@ -98,6 +98,57 @@ class TestJobDigests:
             )
 
 
+class TestJobOptions:
+    """Public options are checked when the job is built, so a typo can
+    neither run with defaults nor name a store entry."""
+
+    def test_unknown_option_names_key_and_known_keys(self):
+        with pytest.raises(ServiceError) as excinfo:
+            AnalysisJob(
+                label="x",
+                source=FIGURE1_SOURCE,
+                analysis="taint",
+                options={"reorderr": "sift"},
+            )
+        message = str(excinfo.value)
+        assert "'reorderr'" in message
+        assert "engine, order_seed, worklist_order" in message
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"worklist_order": "bogus"},
+            {"engine": "prolog"},
+            {"order_seed": "seven"},
+            {"order_seed": None},
+        ],
+    )
+    def test_malformed_option_value_raises(self, options):
+        (key,) = options
+        with pytest.raises(ServiceError, match=f"job option '{key}'"):
+            AnalysisJob(
+                label="x", source=FIGURE1_SOURCE, analysis="taint", options=options
+            )
+
+    def test_solve_options_checked_and_converted(self):
+        job = AnalysisJob(
+            label="x",
+            source=FIGURE1_SOURCE,
+            analysis="taint",
+            options={
+                "engine": "datalog",
+                "worklist_order": "rpo",
+                "order_seed": "3",
+                "_test_sleep": 30,
+            },
+        )
+        assert job.solve_options() == {
+            "engine": "datalog",
+            "worklist_order": "rpo",
+            "order_seed": 3,
+        }
+
+
 class TestFeatureModelCanonicalization:
     def test_file_and_programmatic_model_share_digest(self, tmp_path):
         source_path = tmp_path / "fig1.mj"

@@ -1,5 +1,6 @@
 """Tests for the ``spllift`` command-line tool."""
 
+import json
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import pytest
 import repro
 from repro.cli import main
 from repro.featuremodel import render_feature_model
+from repro.obs.flight import FlightRecorder
 from repro.spl.benchmarks import gpl_like
 from repro.spl.examples import FIGURE1_SOURCE
 
@@ -132,24 +134,6 @@ class TestAnalyze:
         )
         assert "worklist_order: rpo" in capsys.readouterr().out
 
-    def test_reorder_flag_keeps_findings(self, spl_file, fm_file, capsys):
-        main(["analyze", spl_file, "--analysis", "taint", "--feature-model", fm_file])
-        default_out = capsys.readouterr().out
-        rc = main(
-            [
-                "analyze",
-                spl_file,
-                "--analysis",
-                "taint",
-                "--feature-model",
-                fm_file,
-                "--reorder",
-                "sift",
-            ]
-        )
-        assert rc == 1
-        assert capsys.readouterr().out == default_out
-
     def test_bad_worklist_order_rejected(self, spl_file, capsys):
         with pytest.raises(SystemExit):
             main(["analyze", spl_file, "--analysis", "taint", "--worklist-order", "xyz"])
@@ -196,6 +180,39 @@ class TestAnalyzeOutputOrder:
             assert done.returncode == 1, done.stderr.decode()
             stdouts.append(done.stdout)
         assert stdouts[0] == stdouts[1]
+
+
+class TestClosedStdout:
+    """A reader that leaves early (``spllift … | head``) is no user error:
+    the command ends with 141 (128 + SIGPIPE) and writes no stderr."""
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("command", ["analyze", "postmortem"])
+    def test_closed_pipe_ends_quietly(self, spl_file, tmp_path, command, unbuffered):
+        if command == "analyze":
+            argv = ["analyze", spl_file, "--analysis", "taint"]
+        else:
+            recorder = FlightRecorder(capacity=8)
+            recorder.record("pulse", "ide/phase1", pops=256)
+            dump = tmp_path / "dump.json"
+            dump.write_text(json.dumps(recorder.dump("unit test")))
+            argv = ["obs", "postmortem", str(dump)]
+        src_root = str(Path(repro.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src_root, PYTHONUNBUFFERED=unbuffered)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "repro.cli", *argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert done.stderr.decode() == ""
+        assert done.returncode == 141
 
 
 class TestEngineFlag:

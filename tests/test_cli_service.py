@@ -433,6 +433,36 @@ class TestCleanErrors:
         assert captured.err.startswith("spllift: error: unknown analysis")
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize(
+        "options, named",
+        [({"reorder": "sift"}, "reorder"), ({"worklist_order": "bogus"}, "bogus")],
+        ids=["unknown-option", "bad-option-value"],
+    )
+    def test_batch_bad_job_option(self, tmp_path, capsys, options, named):
+        """An option no solve reads, or a value it cannot take, fails
+        the manifest before any of its jobs runs."""
+        path = tmp_path / "m.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "jobs": [
+                        {"source": FIGURE1_SOURCE, "analysis": "taint"},
+                        {
+                            "source": FIGURE1_SOURCE,
+                            "analysis": "uninit",
+                            "options": options,
+                        },
+                    ]
+                }
+            )
+        )
+        store = tmp_path / "store"
+        rc = main(["batch", str(path), "--cache-dir", str(store)])
+        captured = self._check(capsys, rc)
+        assert named in captured.err
+        assert captured.out == ""
+        assert not store.exists()  # the store was never opened
+
     def test_run_missing_file(self, capsys):
         rc = main(["run", "no-such-file.mj"])
         self._check(capsys, rc)
