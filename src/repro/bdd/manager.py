@@ -173,12 +173,8 @@ class BDDManager:
         return self._level_var[level]
 
     # ------------------------------------------------------------------
-    # Node construction
+    # Node handles
     # ------------------------------------------------------------------
-
-    def _mk(self, level: int, low: int, high: int) -> int:
-        """Find-or-create the node ``(level, low, high)`` (reduced form)."""
-        return self._store.mk(level, low, high)
 
     def _check(self, node: int) -> None:
         if not 0 <= node < len(self._store.level):

@@ -9,63 +9,56 @@ The lexer produces a flat token stream; preprocessor directives become
 ordinary tokens (``#ifdef`` etc.) that the parser interprets, because —
 unlike the C preprocessor — SPLLIFT analyzes the *unpreprocessed* product
 line.
+
+Character contract (ASCII, like the feature-model grammar of
+:mod:`repro.featuremodel.parser`):
+
+- identifiers and keywords are ``[A-Za-z_][A-Za-z0-9_]*``;
+- integer literals are ``[0-9]+``;
+- whitespace is the ``str.isspace`` set; lines advance on ``\\n`` only;
+- ``//`` and ``/* … */`` comments may hold any character.
+
+Any other character, a non-ASCII letter or digit included, is a
+:class:`LexError`.  One compiled master regex with a named group per
+token class scans the source.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List
+import re
+from typing import List
 
 __all__ = ["Token", "LexError", "tokenize", "KEYWORDS"]
 
 KEYWORDS = frozenset(
-    (
-        "class",
-        "extends",
-        "int",
-        "boolean",
-        "void",
-        "if",
-        "else",
-        "while",
-        "return",
-        "new",
-        "this",
-        "null",
-        "true",
-        "false",
-    )
+    ("class", "extends", "int", "boolean", "void", "if", "else", "while",
+     "return", "new", "this", "null", "true", "false")
 )
 
 # Multi-character operators first so maximal munch works.
 _OPERATORS = (
-    "#ifdef",
-    "#else",
-    "#endif",
-    "<->",
-    "->",
-    "==",
-    "!=",
-    "<=",
-    ">=",
-    "&&",
-    "||",
-    "+",
-    "-",
-    "*",
-    "/",
-    "%",
-    "<",
-    ">",
-    "=",
-    "!",
-    "(",
-    ")",
-    "{",
-    "}",
-    ",",
-    ";",
-    ".",
+    "#ifdef", "#else", "#endif", "<->", "->", "==", "!=", "<=", ">=", "&&", "||",
+    "+", "-", "*", "/", "%", "<", ">", "=", "!", "(", ")", "{", "}", ",", ";", ".",
+)
+
+# Alternatives are tried in order, so comments win over the ``/`` operator
+# and a closed block comment over an unterminated one.
+_MASTER = re.compile(
+    "|".join(
+        f"(?P<{name}>{pattern})"
+        for name, pattern in (
+            ("newline", r"\n"),
+            ("space", r"[^\S\n]+"),
+            ("line_comment", r"//[^\n]*"),
+            ("block_comment", r"/\*.*?\*/"),
+            ("open_comment", r"/\*"),
+            ("word", r"[A-Za-z_][A-Za-z0-9_]*"),
+            ("int", r"[0-9]+"),
+            ("op", "|".join(map(re.escape, _OPERATORS))),
+            ("other", r"."),
+        )
+    ),
+    re.DOTALL,
 )
 
 
@@ -73,18 +66,32 @@ class LexError(ValueError):
     """Raised on characters the lexer cannot interpret."""
 
 
-@dataclass(frozen=True)
 class Token:
     """One lexical token.
 
     ``kind`` is one of ``"ident"``, ``"int"``, ``"keyword"``, ``"op"``,
     ``"eof"``; ``text`` is the lexeme; ``line``/``column`` are 1-based.
+    Tokens compare and hash by value.
     """
 
-    kind: str
-    text: str
-    line: int
-    column: int
+    __slots__ = ("kind", "text", "line", "column")
+
+    def __init__(self, kind: str, text: str, line: int, column: int) -> None:
+        self.kind = kind
+        self.text = text
+        self.line = line
+        self.column = column
+
+    def _key(self) -> tuple:
+        return (self.kind, self.text, self.line, self.column)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Token:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def __repr__(self) -> str:
         return f"Token({self.kind}, {self.text!r}, {self.line}:{self.column})"
@@ -92,60 +99,38 @@ class Token:
 
 def tokenize(source: str) -> List[Token]:
     """Tokenize ``source``, appending a single ``eof`` token."""
-    return list(_tokens(source))
-
-
-def _tokens(source: str) -> Iterator[Token]:
-    pos = 0
+    tokens: List[Token] = []
+    append = tokens.append
     line = 1
     line_start = 0
-    n = len(source)
-    while pos < n:
-        ch = source[pos]
-        if ch == "\n":
+    for match in _MASTER.finditer(source):
+        group = match.lastgroup
+        if group == "space":
+            continue
+        if group == "newline":
             line += 1
-            pos += 1
-            line_start = pos
+            line_start = match.end()
             continue
-        if ch.isspace():
-            pos += 1
+        text = match.group()
+        if group == "word":
+            kind = "keyword" if text in KEYWORDS else "ident"
+        elif group == "op" or group == "int":
+            kind = group
+        elif group == "line_comment":
             continue
-        if source.startswith("//", pos):
-            end = source.find("\n", pos)
-            pos = n if end == -1 else end
-            continue
-        if source.startswith("/*", pos):
-            end = source.find("*/", pos + 2)
-            if end == -1:
-                raise LexError(f"unterminated block comment at line {line}")
-            newlines = source.count("\n", pos, end)
+        elif group == "block_comment":
+            newlines = text.count("\n")
             if newlines:
                 line += newlines
-                line_start = source.rfind("\n", pos, end) + 1
-            pos = end + 2
+                line_start = match.start() + text.rfind("\n") + 1
             continue
-        column = pos - line_start + 1
-        if ch.isalpha() or ch == "_":
-            end = pos + 1
-            while end < n and (source[end].isalnum() or source[end] == "_"):
-                end += 1
-            text = source[pos:end]
-            kind = "keyword" if text in KEYWORDS else "ident"
-            yield Token(kind, text, line, column)
-            pos = end
-            continue
-        if ch.isdigit():
-            end = pos + 1
-            while end < n and source[end].isdigit():
-                end += 1
-            yield Token("int", source[pos:end], line, column)
-            pos = end
-            continue
-        for op in _OPERATORS:
-            if source.startswith(op, pos):
-                yield Token("op", op, line, column)
-                pos += len(op)
-                break
+        elif group == "open_comment":
+            raise LexError(f"unterminated block comment at line {line}")
         else:
-            raise LexError(f"unexpected character {ch!r} at line {line}, column {column}")
-    yield Token("eof", "", line, 1)
+            column = match.start() - line_start + 1
+            raise LexError(
+                f"unexpected character {text!r} at line {line}, column {column}"
+            )
+        append(Token(kind, text, line, match.start() - line_start + 1))
+    append(Token("eof", "", line, 1))
+    return tokens

@@ -94,18 +94,16 @@ class _Parser:
     # ------------------------------------------------------------------
 
     def _peek(self, offset: int = 0) -> Token:
-        index = min(self._pos + offset, len(self._tokens) - 1)
-        return self._tokens[index]
+        # _next stops at eof, so only lookahead past the next token clamps.
+        if offset:
+            return self._tokens[min(self._pos + offset, len(self._tokens) - 1)]
+        return self._tokens[self._pos]
 
     def _next(self) -> Token:
         token = self._tokens[self._pos]
         if token.kind != "eof":
             self._pos += 1
         return token
-
-    def _error(self, message: str) -> ParseError:
-        token = self._peek()
-        return ParseError(f"line {token.line}: {message} (found {token.text!r})")
 
     def _expect(self, text: str) -> Token:
         token = self._next()
@@ -124,7 +122,8 @@ class _Parser:
         return token
 
     def _at(self, text: str) -> bool:
-        return self._peek().text == text and self._peek().kind != "eof"
+        # No caller asks for "", the text of eof.
+        return self._tokens[self._pos].text == text
 
     # ------------------------------------------------------------------
     # Declarations

@@ -27,14 +27,22 @@ toward recomputing, never toward a wrong answer.
 
 from __future__ import annotations
 
+import json
 import time
 from typing import Dict, Optional, Protocol, runtime_checkable
 
 from repro.obs import runtime as obs
 
-__all__ = ["StoreBackend", "InstrumentedStore", "RESULT_SCHEMA"]
+__all__ = ["StoreBackend", "InstrumentedStore", "RESULT_SCHEMA", "encode_record"]
 
 RESULT_SCHEMA = "spllift-result/v1"
+
+
+def encode_record(record: Dict[str, object]) -> str:
+    """The stored text of a record, the same for every backend: sorted
+    keys and no whitespace.  Any ``indent`` would make :mod:`json` fall
+    back from its C encoder to pure Python.  Readers take any JSON."""
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
 @runtime_checkable

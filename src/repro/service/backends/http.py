@@ -33,7 +33,7 @@ import urllib.request
 from typing import Dict, Optional
 
 from repro.obs import runtime as obs
-from repro.service.backends.base import InstrumentedStore
+from repro.service.backends.base import InstrumentedStore, encode_record
 
 __all__ = ["HttpStore", "RemoteStoreError"]
 
@@ -127,7 +127,7 @@ class HttpStore(InstrumentedStore):
 
     def _put(self, record: Dict[str, object]) -> str:
         digest = str(record["digest"])
-        body = json.dumps(record, sort_keys=True).encode("utf-8")
+        body = encode_record(record).encode("utf-8")
         try:
             self._request("PUT", f"/objects/{digest}", body=body)
         except (urllib.error.URLError, OSError, ValueError):

@@ -34,7 +34,7 @@ from pathlib import Path
 from typing import Dict, Optional
 
 from repro.obs import runtime as obs
-from repro.service.backends.base import InstrumentedStore
+from repro.service.backends.base import InstrumentedStore, encode_record
 
 __all__ = ["SqliteStore"]
 
@@ -181,7 +181,7 @@ class SqliteStore(InstrumentedStore):
 
     def _put(self, record: Dict[str, object]) -> str:
         digest = str(record["digest"])
-        payload = json.dumps(record, sort_keys=True, separators=(",", ":"))
+        payload = encode_record(record)
         now = time.time()
 
         def write(connection: sqlite3.Connection):

@@ -29,7 +29,11 @@ import tempfile
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.service.backends.base import RESULT_SCHEMA, InstrumentedStore
+from repro.service.backends.base import (
+    RESULT_SCHEMA,
+    InstrumentedStore,
+    encode_record,
+)
 
 __all__ = ["ResultStore", "default_cache_dir", "RESULT_SCHEMA"]
 
@@ -104,7 +108,7 @@ class ResultStore(InstrumentedStore):
         digest = str(record["digest"])
         path = self.path_for(digest)
         path.parent.mkdir(parents=True, exist_ok=True)
-        payload = json.dumps(record, sort_keys=True, indent=1)
+        payload = encode_record(record)
         fd, tmp_name = tempfile.mkstemp(
             dir=str(path.parent), prefix=f".{digest[:8]}.", suffix=".tmp"
         )

@@ -28,6 +28,7 @@ import signal
 import time
 from typing import Dict
 
+from repro.datalog import resolve_engine
 from repro.obs import runtime as obs
 from repro.service.jobs import AnalysisJob, resolve_analysis
 from repro.service.store import RESULT_SCHEMA
@@ -54,9 +55,19 @@ def _maybe_crash(job: AnalysisJob) -> None:
         time.sleep(float(sleep))
 
 
+def _engine_label(job: AnalysisJob) -> str:
+    """The engine ``SPLLift.solve`` will run ``job`` on: its ``engine``
+    option, else ``$SPLLIFT_ENGINE``, else tabulate.  A bad environment
+    value is named as given; the solve then fails the job on it."""
+    try:
+        return resolve_engine(job.options.get("engine"))
+    except ValueError:
+        return str(os.environ.get("SPLLIFT_ENGINE"))
+
+
 def execute_job(job: AnalysisJob) -> Dict[str, object]:
     """Run one analysis job and return its store-ready record."""
-    engine = str(job.options.get("engine") or "tabulate")
+    engine = _engine_label(job)
     # Before any work (and before the fault-injection hooks): a flight
     # postmortem must be able to name the job a dead worker was running.
     obs.flight().note_job(

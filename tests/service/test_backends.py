@@ -23,6 +23,7 @@ from repro.service import (
     open_store,
     run_batch,
 )
+from repro.service.backends.base import encode_record
 from repro.spl.examples import FIGURE1_SOURCE
 
 DIGEST = "ab" * 32
@@ -239,6 +240,44 @@ class TestHttpRoundTrip:
         assert summary["removed"] == 2
         client.put(_record())
         assert client.clear() == 1
+
+
+class TestRecordEncoding:
+    """Every backend writes a record as its ``encode_record`` text."""
+
+    RECORD = _record(stats={"b": 1, "a": [1, 2]}, facts=3)
+
+    def test_directory_file_equals_sqlite_payload(self, tmp_path, sqlite_store):
+        path = ResultStore(tmp_path / "dir").put(self.RECORD)
+        sqlite_store.put(self.RECORD)
+        with sqlite3.connect(sqlite_store.path) as connection:
+            (payload,) = connection.execute(
+                "SELECT payload FROM records"
+            ).fetchone()
+        assert path.read_text() == encode_record(self.RECORD) == payload
+        assert payload == json.dumps(
+            self.RECORD, sort_keys=True, separators=(",", ":")
+        )
+
+    def test_http_put_body(self, served):
+        client, _, _ = served
+        bodies = []
+        request = client._request
+
+        def spy(method, path, body=None):
+            bodies.append(body)
+            return request(method, path, body=body)
+
+        client._request = spy
+        client.put(self.RECORD)
+        assert bodies == [encode_record(self.RECORD).encode("utf-8")]
+
+    def test_indented_directory_file_is_still_served(self, tmp_path):
+        store = ResultStore(tmp_path / "dir")
+        path = store.path_for(DIGEST)
+        path.parent.mkdir(parents=True)
+        path.write_text(json.dumps(self.RECORD, sort_keys=True, indent=1))
+        assert store.get(DIGEST) == self.RECORD
 
 
 class TestHttpFailOpen:

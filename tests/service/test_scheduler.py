@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+from repro.obs import runtime as obs
 from repro.service import (
     AnalysisJob,
     BatchScheduler,
@@ -157,6 +158,50 @@ class TestFailureHandling:
         assert outcome.status == "failed"
         assert outcome.attempts == 1  # no retry budget at all
         assert "worker crashed" in outcome.error
+
+
+class TestEngineLabel:
+    """The flight ring's job note and the ``job.start`` event name the
+    engine the job solves on, ``$SPLLIFT_ENGINE`` included."""
+
+    @pytest.fixture(autouse=True)
+    def clean_obs(self):
+        obs.reset()
+        yield
+        obs.reset()
+
+    @staticmethod
+    def _labels():
+        events = obs.flight().events()
+        return (
+            [e["engine"] for e in events if e["kind"] == "job"],
+            [e["engine"] for e in events if e["name"] == "job.start"],
+        )
+
+    def test_environment_engine_is_named(self, monkeypatch):
+        monkeypatch.setenv("SPLLIFT_ENGINE", "datalog")
+        job = AnalysisJob("fig1", FIGURE1_SOURCE, "taint")
+        report = run_batch([job], None, use_pool=False)
+        assert report.outcomes[0].status == "computed"
+        assert self._labels() == (["datalog"], ["datalog"])
+
+    def test_job_option_wins_over_environment(self, monkeypatch):
+        monkeypatch.setenv("SPLLIFT_ENGINE", "datalog")
+        report = run_batch(
+            [_job(options={"engine": "tabulate"})], None, use_pool=False
+        )
+        assert report.outcomes[0].status == "computed"
+        assert self._labels() == (["tabulate"], ["tabulate"])
+
+    def test_bad_environment_engine_still_fails_the_job(self, monkeypatch):
+        monkeypatch.setenv("SPLLIFT_ENGINE", "bogus")
+        report = run_batch([_job()], None, use_pool=False)
+        outcome = report.outcomes[0]
+        assert outcome.status == "failed"
+        assert outcome.error == (
+            "ValueError: engine must be one of tabulate/datalog, got 'bogus'"
+        )
+        assert self._labels() == (["bogus"], ["bogus"])
 
 
 class TestWorkerReporting:

@@ -393,10 +393,22 @@ class TestCleanErrors:
         "source, extra",
         [
             ("class Main { void main() { int y = 1 @ 2; } }", []),
+            # Identifiers and integers are ASCII, though str.isalpha and
+            # str.isdigit accept these characters.
+            ("class Main { void main() { int x = \u00b2; } }", []),
+            ("class Main { void main() { int y = \u0663; } }", []),
+            ("class Main { void main() { int \u00e9t\u00e9 = 1; } }", []),
             ("class Main { void main() { int y = zz; } }", []),
             (FIGURE1_SOURCE, ["--entry", "Nope.main"]),
         ],
-        ids=["lex", "undeclared-local", "unknown-entry-class"],
+        ids=[
+            "lex",
+            "non-ascii-digit",
+            "arabic-indic-digit",
+            "non-ascii-ident",
+            "undeclared-local",
+            "unknown-entry-class",
+        ],
     )
     @pytest.mark.parametrize(
         "command",
@@ -405,7 +417,7 @@ class TestCleanErrors:
     )
     def test_frontend_error(self, tmp_path, capsys, command, source, extra):
         path = tmp_path / "input.mj"
-        path.write_text(source)
+        path.write_text(source, encoding="utf-8")
         rc = main([*command, str(path), *extra])
         # No partial report on stdout: the error is the whole output.
         assert self._check(capsys, rc).out == ""
