@@ -1,7 +1,7 @@
 """Deterministic work-counter snapshot for CI's counter gates.
 
-Runs the rows whose counters ``scripts/compare_metrics.py`` gates
-against ``benchmarks/BASELINE_bench_stats.json``:
+Runs the rows whose counters ``spllift obs diff`` gates against
+``benchmarks/BASELINE_bench_stats.json``:
 
 - ``engine/datalog/GPL-like/possible_types`` — one lifted solve on the
   semi-naive Datalog engine, whose rule/iteration/tuple counters are
@@ -179,7 +179,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         type=Path,
         required=True,
         help="where to write the spllift-metrics/v1 counter snapshot "
-        "that scripts/compare_metrics.py reads",
+        "that spllift obs diff reads",
     )
     args = parser.parse_args(argv)
     snapshot = {

@@ -15,7 +15,7 @@ store.  The gate: warm digests bit-identical to cold, ``summaries_reused
 
 ``--metrics OUT`` writes a ``spllift-metrics/v1`` snapshot of the *warm
 phase only* (the registry is reset between phases), so
-``scripts/compare_metrics.py --only 'ide.solver.summaries_*'`` can pin
+``spllift obs diff --only 'ide.solver.summaries_*'`` can pin
 the reuse counters against a committed baseline — they are a
 deterministic property of the fixed point, not of timing.
 """

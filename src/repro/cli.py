@@ -43,14 +43,7 @@ import time
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
-from repro.analyses import (
-    PossibleTypesAnalysis,
-    ReachingDefinitionsAnalysis,
-    TaintAnalysis,
-    UninitializedVariablesAnalysis,
-)
-from repro.analyses.typestate import FILE_PROTOCOL, TypestateAnalysis
-from repro.core import SPLLift, compute_emergent_interface
+from repro.core import compute_emergent_interface
 from repro.core.solver import SPLLiftResults
 from repro.datalog import resolve_engine
 from repro.ide.solver import WORKLIST_ORDERS
@@ -72,12 +65,16 @@ from repro.obs.regress import (
 from repro.obs.trace import fold_trace, read_trace, summarize_trace
 from repro.service import (
     ServiceError,
+    canonical_analysis_name,
     default_cache_dir,
     load_manifest_plan,
     open_store,
+    resolve_analysis,
     run_batch,
     serve_store,
 )
+from repro.service.jobs import read_text
+from repro.service.worker import solve_product_line
 from repro.spl import ProductLine
 from repro.utils import format_count
 
@@ -111,13 +108,47 @@ def _telemetry_end(args) -> None:
 
 
 def _load_product_line(args) -> ProductLine:
-    with open(args.file) as handle:
-        source = handle.read()
+    source = read_text(args.file)
     model = FeatureModel()
     if getattr(args, "feature_model", None):
-        with open(args.feature_model) as handle:
-            model = parse_feature_model(handle.read())
+        model = parse_feature_model(read_text(args.feature_model))
     return ProductLine(name=args.file, source=source, feature_model=model, entry=args.entry)
+
+
+def _exit_facts(icfg, analysis, results):
+    # Informational analyses: report all facts at method exits, in a
+    # hash-seed-independent order (the solver's insertion order follows
+    # set iteration over facts).
+    return [
+        (exit_point, fact, f"{fact}")
+        for method in icfg.reachable_methods
+        for exit_point in method.exit_points
+        for fact in sorted(results.results_at(exit_point), key=repr)
+    ]
+
+
+#: Per canonical analysis name, the (statement, fact, description)
+#: queries ``analyze`` reports: ``(icfg, analysis, results) -> queries``.
+FINDING_QUERIES = {
+    "taint": lambda icfg, analysis, results: [
+        (stmt, fact, f"secret may reach print of {fact}")
+        for stmt, fact in analysis.sink_queries(icfg)
+    ],
+    "uninitialized_variables": lambda icfg, analysis, results: [
+        (stmt, fact, f"read of possibly-uninitialized {fact}")
+        for stmt, fact in analysis.use_queries()
+    ],
+    "nullness": lambda icfg, analysis, results: [
+        (stmt, fact, f"possible null dereference of {fact}")
+        for stmt, fact in analysis.dereference_queries()
+    ],
+    "typestate": lambda icfg, analysis, results: [
+        (stmt, fact, f"protocol violation: {fact}")
+        for stmt, fact in analysis.violation_queries()
+    ],
+    "possible_types": _exit_facts,
+    "reaching_definitions": _exit_facts,
+}
 
 
 def _findings(
@@ -140,75 +171,23 @@ def _findings(
             "--engine datalog does not support --incremental-cache "
             "(incremental summary injection is a tabulation-engine feature)"
         )
-    icfg = product_line.icfg
-    feature_model = product_line.feature_model if fm_mode != "ignore" else None
-
-    def solve(analysis) -> SPLLiftResults:
-        spllift = SPLLift(analysis, feature_model=feature_model, fm_mode=fm_mode)
-        summaries = None
-        if incremental_cache:
-            from repro.ide.summaries import summary_cache_for
-            from repro.service import open_store
-
-            summaries = summary_cache_for(spllift, open_store(incremental_cache))
-        return spllift.solve(
-            worklist_order=worklist_order,
-            summaries=summaries,
-            engine=engine,
-        )
-
-    if analysis_name == "taint":
-        analysis = TaintAnalysis(icfg)
-        results = solve(analysis)
-        queries = [
-            (stmt, fact, f"secret may reach print of {fact}")
-            for stmt, fact in TaintAnalysis.sink_queries(icfg)
-        ]
-    elif analysis_name == "uninit":
-        analysis = UninitializedVariablesAnalysis(icfg)
-        results = solve(analysis)
-        queries = [
-            (stmt, fact, f"read of possibly-uninitialized {fact}")
-            for stmt, fact in analysis.use_queries()
-        ]
-    elif analysis_name == "nullness":
-        from repro.analyses.nullness import NullnessAnalysis
-
-        analysis = NullnessAnalysis(icfg)
-        results = solve(analysis)
-        queries = [
-            (stmt, fact, f"possible null dereference of {fact}")
-            for stmt, fact in analysis.dereference_queries()
-        ]
-    elif analysis_name == "typestate":
-        analysis = TypestateAnalysis(icfg, FILE_PROTOCOL)
-        results = solve(analysis)
-        queries = [
-            (stmt, fact, f"protocol violation: {fact}")
-            for stmt, fact in analysis.violation_queries()
-        ]
-    elif analysis_name in ("types", "rd"):
-        analysis = (
-            PossibleTypesAnalysis(icfg)
-            if analysis_name == "types"
-            else ReachingDefinitionsAnalysis(icfg)
-        )
-        results = solve(analysis)
-        # Informational analyses: report all facts at method exits, in
-        # a hash-seed-independent order (the solver's insertion order
-        # follows set iteration over facts).
-        queries = []
-        for method in icfg.reachable_methods:
-            for exit_point in method.exit_points:
-                for fact in sorted(results.results_at(exit_point), key=repr):
-                    queries.append((exit_point, fact, f"{fact}"))
-    else:
-        raise ValueError(f"unknown analysis {analysis_name!r}")
+    name = canonical_analysis_name(analysis_name)
+    analysis, results = solve_product_line(
+        product_line,
+        resolve_analysis(name),
+        fm_mode,
+        summary_store=open_store(incremental_cache) if incremental_cache else None,
+        worklist_order=worklist_order,
+        engine=engine,
+    )
     findings = []
-    for stmt, fact, description in queries:
-        constraint = results.finding_constraint(stmt, fact)
-        if not constraint.is_false:
-            findings.append((stmt.location, description, str(constraint)))
+    with obs.tracer().span("cli/findings"):
+        for stmt, fact, description in FINDING_QUERIES[name](
+            product_line.icfg, analysis, results
+        ):
+            constraint = results.finding_constraint(stmt, fact)
+            if not constraint.is_false:
+                findings.append((stmt.location, description, str(constraint)))
     return findings, results
 
 

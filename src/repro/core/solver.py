@@ -193,18 +193,20 @@ class SPLLift(Generic[D]):
             The constraint system; defaults to a fresh BDD-backed one.
         fm_mode:
             One of ``"edge"`` (paper's choice), ``"seed"`` (rejected
-            variant) or ``"ignore"`` — see Section 4.2.
+            variant) or ``"ignore"`` — see Section 4.2.  ``"ignore"``
+            drops ``feature_model`` unread: the solve and its results
+            are those of ``feature_model=None``.
         """
+        if fm_mode not in FM_MODES:
+            raise ValueError(f"fm_mode must be one of {FM_MODES}, got {fm_mode!r}")
         self.system = system if system is not None else BddConstraintSystem()
-        if feature_model is None:
+        if feature_model is None or fm_mode == "ignore":
             fm_constraint = self.system.true
         elif isinstance(feature_model, FeatureModel):
             fm_constraint = to_constraint(feature_model, self.system)
         else:
             fm_constraint = feature_model
         self.feature_model = fm_constraint
-        if fm_mode not in FM_MODES:
-            raise ValueError(f"fm_mode must be one of {FM_MODES}, got {fm_mode!r}")
         self.fm_mode = fm_mode
         self.problem = LiftedProblem(
             analysis, self.system, fm_constraint, fm_mode=fm_mode

@@ -18,7 +18,6 @@ from repro.experiments.harness import (
     ENUMERATION_LIMIT,
     measure_call_graph,
     run_a2_campaign,
-    run_spllift,
 )
 from repro.experiments.qualitative import (
     QualitativeRow,
@@ -56,7 +55,6 @@ __all__ = [
     "ENUMERATION_LIMIT",
     "measure_call_graph",
     "run_a2_campaign",
-    "run_spllift",
     "Table1Row",
     "run_table1",
     "render_table1",

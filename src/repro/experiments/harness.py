@@ -16,22 +16,27 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, Type
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Type
 
 from repro.baselines.a2 import measure_a2
 from repro.core.parallel import ProcessTaskPool, resolve_parallel
-from repro.core.solver import SPLLift, SPLLiftResults
+from repro.datalog import resolve_engine
 from repro.ifds.problem import IFDSProblem
-from repro.ir.icfg import ICFG
+from repro.service import (
+    AnalysisJob,
+    canonical_analysis_name,
+    execute_job,
+    run_batch,
+)
 from repro.spl.product_line import ProductLine
 
 __all__ = [
     "A2Campaign",
-    "engine_job_options",
+    "fan_out",
     "measure_call_graph",
-    "run_spllift",
-    "run_spllift_cached",
     "run_a2_campaign",
+    "spllift_column",
+    "spllift_job",
     "ENUMERATION_LIMIT",
 ]
 
@@ -44,93 +49,69 @@ ENUMERATION_LIMIT = 200_000
 def measure_call_graph(product_line: ProductLine) -> float:
     """Seconds for the shared analysis prerequisite (the "Soot/CG" column):
     parsing, lowering, and call-graph/ICFG construction from scratch."""
-    from repro.ir.lowering import lower_program
-    from repro.minijava.parser import parse_program
-
+    fresh = ProductLine(
+        name=product_line.name, source=product_line.source, entry=product_line.entry
+    )
     started = time.perf_counter()
-    program = lower_program(parse_program(product_line.source))
-    ICFG.for_entry(program, product_line.entry)
+    fresh.icfg
     return time.perf_counter() - started
 
 
-def run_spllift(
+def spllift_job(
     product_line: ProductLine,
-    analysis_class: Type[IFDSProblem],
+    analysis_name: str,
     fm_mode: str = "edge",
     engine: Optional[str] = None,
-) -> Tuple[float, SPLLiftResults]:
-    """One SPLLIFT run; returns (seconds, results)."""
-    analysis = analysis_class(product_line.icfg)
-    feature_model = product_line.feature_model if fm_mode != "ignore" else None
-    spllift = SPLLift(analysis, feature_model=feature_model, fm_mode=fm_mode)
-    started = time.perf_counter()
-    results = spllift.solve(engine=engine)
-    return time.perf_counter() - started, results
+) -> AnalysisJob:
+    """The analysis-service job of one SPLLIFT table cell.
 
-
-def _service_name_for(analysis_class: Type[IFDSProblem]) -> str:
-    """Derive the service's canonical analysis name from a problem class
-    (``PossibleTypesAnalysis`` → ``possible_types``)."""
-    name = analysis_class.__name__
-    if name.endswith("Analysis"):
-        name = name[: -len("Analysis")]
-    words = []
-    for char in name:
-        if char.isupper() and words:
-            words.append("_")
-        words.append(char.lower())
-    return "".join(words)
-
-
-def engine_job_options(engine: Optional[str]) -> Dict[str, object]:
-    """Job options encoding an engine choice.
-
-    The default engine is *omitted* so job digests — and therefore
-    every already-populated result store — stay byte-identical to runs
-    that never mention an engine; a non-default engine becomes part of
-    the job identity (its record is a distinct store entry even though
-    the result digest matches).
+    ``analysis_name`` is the table's name for the analysis (``"Possible
+    Types"``), an alias of its service name.  The default engine is
+    *omitted* from the options, so job digests — and every
+    already-populated result store — stay those of runs that never name
+    an engine; a non-default engine is part of the job identity.
     """
-    from repro.datalog import resolve_engine
-
     resolved = resolve_engine(engine)
-    return {} if resolved == "tabulate" else {"engine": resolved}
-
-
-def run_spllift_cached(
-    product_line: ProductLine,
-    analysis_class: Type[IFDSProblem],
-    fm_mode: str = "edge",
-    store=None,
-    engine: Optional[str] = None,
-) -> Tuple[float, Dict[str, object], bool]:
-    """Store-aware :func:`run_spllift` — the experiments' warm path.
-
-    Returns ``(solve_seconds, record, cached)`` where ``record`` is the
-    service-format result record.  On a store hit the solver is skipped
-    entirely and ``solve_seconds`` is the *recorded* solve time of the
-    original cold run, so cached table regenerations report the same
-    timings they were first measured with.
-    """
-    from repro.service import AnalysisJob, build_record
-
-    job = AnalysisJob.from_product_line(
+    return AnalysisJob.from_product_line(
         product_line,
-        _service_name_for(analysis_class),
+        canonical_analysis_name(analysis_name),
         fm_mode=fm_mode,
-        options=engine_job_options(engine),
+        options={} if resolved == "tabulate" else {"engine": resolved},
     )
-    if store is not None:
-        record = store.get(job.digest)
-        if record is not None:
-            return float(record["solve_seconds"]), record, True
-    seconds, results = run_spllift(
-        product_line, analysis_class, fm_mode=fm_mode, engine=engine
-    )
-    record = build_record(job, results, solve_seconds=seconds)
-    if store is not None:
-        store.put(record)
-    return seconds, record, False
+
+
+def spllift_column(
+    jobs: Sequence[AnalysisJob], store=None, workers: int = 1
+) -> List[float]:
+    """The SPLLIFT column of a table: each job's ``solve_seconds``, from
+    one batch over the cells' jobs, through ``store`` when given (a warm
+    hit reports the time recorded by its cold run).  A job the batch
+    reports failed is re-run in the parent; the work is deterministic,
+    so only the time can differ."""
+    report = run_batch(jobs, store=store, max_workers=workers, use_pool=workers > 1)
+    seconds = []
+    for outcome in report.outcomes:
+        record = outcome.record
+        if not outcome.ok:
+            record = execute_job(outcome.job)
+            if store is not None:
+                store.put(record)
+        seconds.append(float(record["solve_seconds"]))
+    return seconds
+
+
+def fan_out(tasks: Sequence[Tuple[Callable, tuple]], workers: int) -> List[object]:
+    """Results of ``(function, args)`` tasks in submission order, over
+    ``workers`` processes when there are several workers and tasks.  A
+    task whose worker fails for any reason is re-run in the parent; the
+    work is deterministic, so results cannot differ."""
+    outcomes = [None] * len(tasks)
+    if workers > 1 and len(tasks) > 1:
+        outcomes = ProcessTaskPool(max_workers=workers, max_retries=1).run(tasks)
+    return [
+        outcome.result if outcome is not None and outcome.ok else function(*args)
+        for outcome, (function, args) in zip(outcomes, tasks)
+    ]
 
 
 @dataclass
@@ -168,11 +149,8 @@ def _enumerate_a2_parallel(
     Times are accumulated in *submission* order and the cutoff is applied
     to that prefix, so the campaign stops after the same configurations
     (and reports the same ``configurations_run``) as the sequential loop;
-    only the wall-clock changes.  A configuration whose worker fails for
-    any reason is simply re-run in the parent — A2 is deterministic, so
-    results cannot differ.  Returns ``(measured_total, runs)``.
+    only the wall-clock changes.  Returns ``(measured_total, runs)``.
     """
-    pool = ProcessTaskPool(max_workers=workers, max_retries=1)
     config_iter = iter(configurations)
     total = 0.0
     runs = 0
@@ -180,14 +158,8 @@ def _enumerate_a2_parallel(
         wave = list(itertools.islice(config_iter, workers * 2))
         if not wave:
             break
-        outcomes = pool.run(
-            [(measure_a2, (analysis, configuration)) for configuration in wave]
-        )
-        for configuration, outcome in zip(wave, outcomes):
-            if outcome.ok:
-                seconds, _ = outcome.result
-            else:
-                seconds, _ = measure_a2(analysis, configuration)
+        tasks = [(measure_a2, (analysis, configuration)) for configuration in wave]
+        for seconds, _ in fan_out(tasks, workers):
             total += seconds
             runs += 1
             if total > cutoff_seconds:

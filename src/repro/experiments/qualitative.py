@@ -22,9 +22,9 @@ from typing import Callable, List, Sequence, Tuple, Type
 
 from repro.analyses import PAPER_ANALYSES
 from repro.baselines.a2 import A2Problem
-from repro.experiments.harness import run_spllift
 from repro.ifds.problem import IFDSProblem
 from repro.ifds.solver import IFDSSolver
+from repro.service.worker import solve_product_line
 from repro.spl.benchmarks import paper_subjects
 from repro.spl.product_line import ProductLine
 from repro.utils.tables import render_table
@@ -80,7 +80,7 @@ def run_qualitative(
     for name, builder in subjects:
         product_line = builder()
         for analysis_name, analysis_class in analyses:
-            spllift_seconds, results = run_spllift(product_line, analysis_class)
+            _, results = solve_product_line(product_line, analysis_class)
             analysis = analysis_class(product_line.icfg)
             solver = IFDSSolver(
                 A2Problem(analysis, frozenset(product_line.features_reachable))
@@ -92,7 +92,7 @@ def run_qualitative(
                 QualitativeRow(
                     benchmark=name,
                     analysis=analysis_name,
-                    spllift_seconds=spllift_seconds,
+                    spllift_seconds=results.solve_seconds,
                     spllift_edges=results.stats["jump_functions"],
                     a2_full_seconds=a2_seconds,
                     a2_full_edges=solver.stats["path_edges"],

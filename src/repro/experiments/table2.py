@@ -14,17 +14,17 @@ while never being catastrophically slower on tiny ones.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type
+from typing import Callable, List, Optional, Sequence, Tuple, Type
 
 from repro.analyses import PAPER_ANALYSES
-from repro.core.parallel import ProcessTaskPool, resolve_parallel
+from repro.core.parallel import resolve_parallel
 from repro.experiments.harness import (
     A2Campaign,
-    _service_name_for,
-    engine_job_options,
+    fan_out,
     measure_call_graph,
     run_a2_campaign,
-    run_spllift_cached,
+    spllift_column,
+    spllift_job,
 )
 from repro.ifds.problem import IFDSProblem
 from repro.obs import runtime as obs
@@ -57,52 +57,20 @@ class Table2Row:
     cells: List[Table2Cell] = field(default_factory=list)
 
 
-def _table2_cell_task(
+def _a2_cell_task(
     product_line: ProductLine,
     analysis_class: Type[IFDSProblem],
     cutoff_seconds: float,
-    need_spllift: bool,
-    engine: Optional[str] = None,
-) -> Tuple[Optional[float], Optional[Dict[str, object]], A2Campaign]:
-    """One Table 2 cell, runnable in a worker process.
-
-    Returns ``(spllift_seconds, spllift_record, a2_campaign)``; the first
-    two are ``None`` when the parent already holds a store hit for the
-    SPLLIFT half (``need_spllift=False``), in which case only the A2
-    campaign runs here.
-    """
-    seconds: Optional[float] = None
-    record: Optional[Dict[str, object]] = None
+) -> A2Campaign:
+    """The A2 half of one Table 2 cell, runnable in a worker process."""
     with obs.tracer().span(
         "table2/cell",
         subject=product_line.name,
         analysis=analysis_class.__name__,
     ):
-        if need_spllift:
-            seconds, record, _ = run_spllift_cached(
-                product_line, analysis_class, engine=engine
-            )
-        campaign = run_a2_campaign(
+        return run_a2_campaign(
             product_line, analysis_class, cutoff_seconds=cutoff_seconds
         )
-    return seconds, record, campaign
-
-
-def _store_hit(
-    product_line: ProductLine, analysis_class, store, fm_mode="edge", engine=None
-):
-    """The stored SPLLIFT record for this cell, or ``None``."""
-    if store is None:
-        return None
-    from repro.service import AnalysisJob
-
-    job = AnalysisJob.from_product_line(
-        product_line,
-        _service_name_for(analysis_class),
-        fm_mode=fm_mode,
-        options=engine_job_options(engine),
-    )
-    return store.get(job.digest)
 
 
 def run_table2(
@@ -115,15 +83,16 @@ def run_table2(
 ) -> List[Table2Row]:
     """Run the full Table 2 campaign (SPLLIFT and A2 per subject/analysis).
 
-    With ``store`` (a :class:`~repro.service.ResultStore`), SPLLIFT runs
-    are served through the analysis service's result store: warm hits
-    skip the solver and report the recorded cold-run timing.
+    The SPLLIFT column is one batch of analysis-service jobs
+    (:func:`~repro.experiments.harness.spllift_column`); each cell
+    reports its record's ``solve_seconds``.  With ``store`` (a result
+    store backend) warm hits skip the solver and report the recorded
+    cold-run timing.
 
     ``parallel`` (default ``$SPLLIFT_PARALLEL``, else 1) fans the
-    independent subject × analysis cells over worker processes; rows are
-    assembled in submission order and cold SPLLIFT records are persisted
-    by the parent, so the rendered table and every stored result digest
-    are identical to a sequential campaign.
+    SPLLIFT jobs and the cells' A2 campaigns over worker processes; rows
+    are assembled in submission order, so the rendered table and every
+    stored result digest are identical to a sequential campaign.
 
     ``engine`` selects the SPLLIFT evaluation engine for every cell
     (``tabulate``/``datalog``; results are bit-identical, timings are
@@ -132,67 +101,34 @@ def run_table2(
     subjects = subjects if subjects is not None else paper_subjects()
     workers = resolve_parallel(parallel)
     with obs.tracer().span("table2/campaign", workers=workers):
-        return _run_table2_campaign(
-            subjects, analyses, cutoff_seconds, store, workers, engine
-        )
-
-
-def _run_table2_campaign(
-    subjects, analyses, cutoff_seconds, store, workers, engine=None
-) -> List[Table2Row]:
-    # Shared prerequisites stay in the parent: subjects are built (and
-    # their call-graph time measured) once, store hits are served here.
-    prepared = []  # (row, product_line)
-    for name, builder in subjects:
-        product_line = builder()
-        row = Table2Row(
-            benchmark=name,
-            valid_configurations=product_line.count_valid_configurations(),
-            call_graph_seconds=measure_call_graph(product_line),
-        )
-        prepared.append((row, product_line))
-
-    cells = []  # (row, product_line, analysis_name, analysis_class, hit)
-    for row, product_line in prepared:
-        for analysis_name, analysis_class in analyses:
-            hit = _store_hit(product_line, analysis_class, store, engine=engine)
-            cells.append((row, product_line, analysis_name, analysis_class, hit))
-
-    outcomes: List[Optional[Tuple]] = [None] * len(cells)
-    if workers > 1 and len(cells) > 1:
-        pool = ProcessTaskPool(max_workers=workers, max_retries=1)
-        tasks = [
-            (
-                _table2_cell_task,
-                (product_line, analysis_class, cutoff_seconds, hit is None, engine),
+        # Subjects are built (and their call-graph time measured) once.
+        rows, jobs, tasks = [], [], []
+        for name, builder in subjects:
+            product_line = builder()
+            rows.append(
+                Table2Row(
+                    benchmark=name,
+                    valid_configurations=product_line.count_valid_configurations(),
+                    call_graph_seconds=measure_call_graph(product_line),
+                )
             )
-            for _, product_line, _, analysis_class, hit in cells
-        ]
-        for index, task in enumerate(pool.run(tasks)):
-            if task.ok:
-                outcomes[index] = task.result
-
-    for index, (row, product_line, analysis_name, analysis_class, hit) in enumerate(
-        cells
-    ):
-        outcome = outcomes[index]
-        if outcome is None:  # sequential, or this cell's worker failed
-            outcome = _table2_cell_task(
-                product_line, analysis_class, cutoff_seconds, hit is None, engine
+            for analysis_name, analysis_class in analyses:
+                jobs.append(spllift_job(product_line, analysis_name, engine=engine))
+                tasks.append(
+                    (_a2_cell_task, (product_line, analysis_class, cutoff_seconds))
+                )
+        seconds = iter(spllift_column(jobs, store, workers))
+        campaigns = iter(fan_out(tasks, workers))
+    for row in rows:
+        for analysis_name, _ in analyses:
+            row.cells.append(
+                Table2Cell(
+                    analysis=analysis_name,
+                    spllift_seconds=next(seconds),
+                    a2=next(campaigns),
+                )
             )
-        spllift_seconds, record, campaign = outcome
-        if hit is not None:
-            spllift_seconds = float(hit["solve_seconds"])
-        elif record is not None and store is not None:
-            store.put(record)
-        row.cells.append(
-            Table2Cell(
-                analysis=analysis_name,
-                spllift_seconds=spllift_seconds,
-                a2=campaign,
-            )
-        )
-    return [row for row, _ in prepared]
+    return rows
 
 
 def _a2_cell(campaign: A2Campaign) -> str:

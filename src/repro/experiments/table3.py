@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type
+from typing import Callable, List, Optional, Sequence, Tuple, Type
 
 from repro.analyses import PAPER_ANALYSES
 from repro.baselines.a2 import A2Problem
-from repro.core.parallel import ProcessTaskPool, resolve_parallel
-from repro.experiments.harness import run_spllift_cached
-from repro.experiments.table2 import _store_hit
+from repro.core.parallel import resolve_parallel
+from repro.experiments.harness import fan_out, spllift_column, spllift_job
 from repro.ifds.problem import IFDSProblem
 from repro.ifds.solver import IFDSSolver
 from repro.obs import runtime as obs
@@ -51,57 +50,25 @@ def _a2_average(
     analysis_class: Type[IFDSProblem],
     sample_limit: int = 12,
 ) -> float:
-    """Average single-configuration A2 time over a deterministic sample."""
-    analysis = analysis_class(product_line.icfg)
-    configurations = [frozenset(), frozenset(product_line.features_reachable)]
-    for configuration in product_line.valid_configurations():
-        configurations.append(configuration)
-        if len(configurations) >= sample_limit:
-            break
-    total = 0.0
-    for configuration in configurations:
-        started = time.perf_counter()
-        IFDSSolver(A2Problem(analysis, configuration)).solve()
-        total += time.perf_counter() - started
-    return total / len(configurations)
-
-
-def _table3_cell_task(
-    product_line: ProductLine,
-    analysis_class: Type[IFDSProblem],
-    need_regarded: bool,
-    need_ignored: bool,
-    engine: Optional[str] = None,
-) -> Tuple[
-    Optional[float],
-    Optional[Dict[str, object]],
-    Optional[float],
-    Optional[Dict[str, object]],
-    float,
-]:
-    """One Table 3 cell, runnable in a worker process.
-
-    Returns ``(regarded_seconds, regarded_record, ignored_seconds,
-    ignored_record, a2_average)``; halves the parent already holds store
-    hits for come back as ``None``.
-    """
-    regarded = regarded_record = None
-    ignored = ignored_record = None
+    """Average single-configuration A2 time over a deterministic sample
+    (the A2 half of one Table 3 cell, runnable in a worker process)."""
     with obs.tracer().span(
         "table3/cell",
         subject=product_line.name,
         analysis=analysis_class.__name__,
     ):
-        if need_regarded:
-            regarded, regarded_record, _ = run_spllift_cached(
-                product_line, analysis_class, fm_mode="edge", engine=engine
-            )
-        if need_ignored:
-            ignored, ignored_record, _ = run_spllift_cached(
-                product_line, analysis_class, fm_mode="ignore", engine=engine
-            )
-        average = _a2_average(product_line, analysis_class)
-    return regarded, regarded_record, ignored, ignored_record, average
+        analysis = analysis_class(product_line.icfg)
+        configurations = [frozenset(), frozenset(product_line.features_reachable)]
+        for configuration in product_line.valid_configurations():
+            configurations.append(configuration)
+            if len(configurations) >= sample_limit:
+                break
+        total = 0.0
+        for configuration in configurations:
+            started = time.perf_counter()
+            IFDSSolver(A2Problem(analysis, configuration)).solve()
+            total += time.perf_counter() - started
+        return total / len(configurations)
 
 
 def run_table3(
@@ -113,80 +80,40 @@ def run_table3(
 ) -> List[Table3Row]:
     """Measure feature-model regarded vs ignored vs A2-average.
 
-    ``store`` routes SPLLIFT runs through the analysis service's result
-    store (warm hits report the recorded cold-run timing).  ``parallel``
-    (default ``$SPLLIFT_PARALLEL``, else 1) fans the independent cells
-    over worker processes with submission-order assembly, exactly as
-    :func:`repro.experiments.table2.run_table2`.  ``engine`` selects
-    the SPLLIFT evaluation engine for every cell.
+    The SPLLIFT rows are one batch of analysis-service jobs, an
+    ``edge`` and an ``ignore`` job per cell, through ``store`` when
+    given (warm hits report the recorded cold-run timing).  ``parallel``
+    (default ``$SPLLIFT_PARALLEL``, else 1) fans those jobs and the A2
+    averages over worker processes with submission-order assembly,
+    exactly as :func:`repro.experiments.table2.run_table2`.  ``engine``
+    selects the SPLLIFT evaluation engine for every cell.
     """
     subjects = subjects if subjects is not None else paper_subjects()
     workers = resolve_parallel(parallel)
     with obs.tracer().span("table3/campaign", workers=workers):
-        return _run_table3_campaign(subjects, analyses, store, workers, engine)
-
-
-def _run_table3_campaign(
-    subjects, analyses, store, workers, engine=None
-) -> List[Table3Row]:
-    prepared = []  # (row, product_line)
-    for name, builder in subjects:
-        prepared.append((Table3Row(benchmark=name), builder()))
-
-    cells = []  # (row, product_line, analysis_name, analysis_class, hits)
-    for row, product_line in prepared:
-        for analysis_name, analysis_class in analyses:
-            hits = (
-                _store_hit(
-                    product_line, analysis_class, store, fm_mode="edge", engine=engine
-                ),
-                _store_hit(
-                    product_line, analysis_class, store, fm_mode="ignore", engine=engine
-                ),
+        rows, jobs, tasks = [], [], []
+        for name, builder in subjects:
+            product_line = builder()
+            rows.append(Table3Row(benchmark=name))
+            for analysis_name, analysis_class in analyses:
+                for fm_mode in ("edge", "ignore"):
+                    jobs.append(
+                        spllift_job(product_line, analysis_name, fm_mode, engine)
+                    )
+                tasks.append((_a2_average, (product_line, analysis_class)))
+        seconds = iter(spllift_column(jobs, store, workers))
+        averages = iter(fan_out(tasks, workers))
+    for row in rows:
+        for analysis_name, _ in analyses:
+            row.cells.append(
+                Table3Cell(
+                    analysis=analysis_name,
+                    regarded_seconds=next(seconds),
+                    ignored_seconds=next(seconds),
+                    a2_average_seconds=next(averages),
+                )
             )
-            cells.append((row, product_line, analysis_name, analysis_class, hits))
-
-    outcomes: List[Optional[Tuple]] = [None] * len(cells)
-    if workers > 1 and len(cells) > 1:
-        pool = ProcessTaskPool(max_workers=workers, max_retries=1)
-        tasks = [
-            (
-                _table3_cell_task,
-                (product_line, analysis_class, hits[0] is None, hits[1] is None, engine),
-            )
-            for _, product_line, _, analysis_class, hits in cells
-        ]
-        for index, task in enumerate(pool.run(tasks)):
-            if task.ok:
-                outcomes[index] = task.result
-
-    for index, (row, product_line, analysis_name, analysis_class, hits) in enumerate(
-        cells
-    ):
-        outcome = outcomes[index]
-        if outcome is None:  # sequential, or this cell's worker failed
-            outcome = _table3_cell_task(
-                product_line, analysis_class, hits[0] is None, hits[1] is None, engine
-            )
-        regarded, regarded_record, ignored, ignored_record, average = outcome
-        regarded_hit, ignored_hit = hits
-        if regarded_hit is not None:
-            regarded = float(regarded_hit["solve_seconds"])
-        elif regarded_record is not None and store is not None:
-            store.put(regarded_record)
-        if ignored_hit is not None:
-            ignored = float(ignored_hit["solve_seconds"])
-        elif ignored_record is not None and store is not None:
-            store.put(ignored_record)
-        row.cells.append(
-            Table3Cell(
-                analysis=analysis_name,
-                regarded_seconds=regarded,
-                ignored_seconds=ignored,
-                a2_average_seconds=average,
-            )
-        )
-    return [row for row, _ in prepared]
+    return rows
 
 
 def render_table3(rows: List[Table3Row]) -> str:

@@ -1,13 +1,11 @@
 """Cross-run metric regression machinery.
 
-This is the library behind two user surfaces with one contract:
-
-- ``scripts/compare_metrics.py`` — the CI gate that fails the build when
-  committed baseline counters drift (``micro/bdd_kernel``,
-  ``engine/datalog`` thresholds at 0);
-- ``spllift obs diff A B`` — the operator's view of the same question
-  between two runs' ``--metrics`` snapshots (summary-reuse-ratio drop,
-  ``datalog.*`` drift, store hit-ratio regressions).
+This is the library behind ``spllift obs diff A B``: the CI gate that
+fails the build when committed baseline counters drift
+(``micro/bdd_kernel``, ``engine/datalog`` at threshold 0), and the
+operator's view of the same question between two runs' ``--metrics``
+snapshots (summary-reuse-ratio drop, ``datalog.*`` drift, store
+hit-ratio regressions).
 
 Counters and gauges present in both snapshots are compared by relative
 drift ``(current - baseline) / baseline``; histograms by their sample
@@ -15,7 +13,10 @@ drift ``(current - baseline) / baseline``; histograms by their sample
 either direction — a large unexplained *drop* usually means work was
 silently skipped.  Thresholds are relative fractions (``0.1`` = ±10%);
 per-name overrides are fnmatch patterns and the most specific match
-wins (longest pattern, ties broken in favor of later flags).
+wins (longest pattern, ties broken in favor of later flags).  A key
+present in one snapshot only is reported ``MISSING`` and fails the
+comparison unless missing keys are allowed.  ``spllift obs diff`` exits
+0 within thresholds, 1 on drift or a missing key, 2 on malformed input.
 """
 
 from __future__ import annotations

@@ -10,7 +10,8 @@ facade (see DESIGN.md §"Service architecture"):
   and HTTP, selected by URL-style spec (:func:`open_store`);
 - :mod:`repro.service.server` — the ``spllift serve`` daemon sharing
   one store with a fleet of schedulers;
-- :mod:`repro.service.worker` — per-job execution and serialization;
+- :mod:`repro.service.worker` — the one lifted pass (parse → lower →
+  ICFG → lift → solve), per-job execution and serialization;
 - :mod:`repro.service.scheduler` — process-pool fan-out with per-job
   timeout, bounded crash retry, in-process fallback, and topological
   DAG dispatch with store-first edges.

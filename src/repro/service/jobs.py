@@ -87,6 +87,7 @@ __all__ = [
     "parse_manifest",
     "parse_manifest_plan",
     "paper_campaign_jobs",
+    "read_text",
 ]
 
 JOB_SCHEMA = "spllift-job/v1"
@@ -338,14 +339,14 @@ class AnalysisJob:
         source_path = Path(file)
         if not source_path.is_absolute():
             source_path = base / source_path
-        source = _read_text(source_path)
+        source = read_text(source_path)
         fm_text = ""
         if feature_model:
             fm_path = Path(feature_model)
             if not fm_path.is_absolute():
                 fm_path = base / fm_path
             fm_text = canonical_feature_model_text(
-                _parse_fm(_read_text(fm_path), fm_path)
+                _parse_fm(read_text(fm_path), fm_path)
             )
         return cls(
             label=str(file),
@@ -374,11 +375,21 @@ class AnalysisJob:
         return _parse_fm(self.feature_model_text, None)
 
 
-def _read_text(path: Path) -> str:
+def read_text(path) -> str:
+    """The text of an input file (source, feature model, manifest).
+
+    Decoded as UTF-8, the encoding a job digest hashes a program in; an
+    unreadable or undecodable file is a :class:`ServiceError` naming it.
+    """
     try:
-        return path.read_text()
+        return Path(path).read_text(encoding="utf-8")
     except OSError as error:
         raise ServiceError(f"cannot read {path}: {error.strerror}") from error
+    except UnicodeDecodeError as error:
+        raise ServiceError(
+            f"cannot read {path}: not UTF-8 text "
+            f"(byte {error.object[error.start]:#04x} at offset {error.start})"
+        ) from None
 
 
 def _parse_fm(text: str, path: Optional[Path]) -> FeatureModel:
@@ -626,7 +637,7 @@ def load_manifest(path: str) -> List[AnalysisJob]:
 def load_manifest_plan(path: str) -> BatchPlan:
     """Read and parse a batch manifest file into a :class:`BatchPlan`."""
     manifest_path = Path(path)
-    text = _read_text(manifest_path)
+    text = read_text(manifest_path)
     try:
         document = json.loads(text)
     except json.JSONDecodeError as error:

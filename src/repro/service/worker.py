@@ -1,9 +1,12 @@
 """Worker side of the analysis service: execute one job, end to end.
 
-:func:`execute_job` is the whole pipeline — parse the MiniJava source,
-parse the feature model, lower, build the ICFG, lift, solve, serialize —
-run either in-process (inline fallback) or inside a pool worker process
-(dispatched by :class:`~repro.core.parallel.ProcessTaskPool`).
+:func:`solve_product_line` is the one lifted pass — parse, lower, build
+the ICFG, lift, solve — with one span per stage.  ``spllift analyze``
+calls it directly; :func:`execute_job` calls it on the product line a
+job describes and serializes the result, run either in-process (inline
+fallback) or inside a pool worker process (dispatched by
+:class:`~repro.core.parallel.ProcessTaskPool`).  The Table 2/3 campaigns
+reach it through the batch scheduler.
 
 The produced **record** is self-describing and store-ready::
 
@@ -26,14 +29,18 @@ from __future__ import annotations
 import os
 import signal
 import time
-from typing import Dict
+from typing import Callable, Dict, Optional, Tuple
 
+from repro.core.solver import SPLLift, SPLLiftResults, lines_digest
 from repro.datalog import resolve_engine
+from repro.ifds.problem import ZERO, IFDSProblem
+from repro.ir.icfg import ICFG
 from repro.obs import runtime as obs
 from repro.service.jobs import AnalysisJob, resolve_analysis
 from repro.service.store import RESULT_SCHEMA
+from repro.spl.product_line import ProductLine
 
-__all__ = ["execute_job", "build_record"]
+__all__ = ["solve_product_line", "execute_job", "build_record"]
 
 #: Set in pool worker processes; gates the fault-injection hooks.
 _WORKER_ENV = "SPLLIFT_WORKER"
@@ -105,9 +112,6 @@ def execute_job(job: AnalysisJob) -> Dict[str, object]:
 
 
 def _execute_job(job: AnalysisJob) -> Dict[str, object]:
-    from repro.core.solver import SPLLift
-    from repro.spl.product_line import ProductLine
-
     _maybe_crash(job)
     product_line = ProductLine(
         name=job.label,
@@ -115,28 +119,59 @@ def _execute_job(job: AnalysisJob) -> Dict[str, object]:
         feature_model=job.feature_model(),
         entry=job.entry,
     )
-    analysis = resolve_analysis(job.analysis)(product_line.icfg)
-    feature_model = (
-        product_line.feature_model if job.fm_mode != "ignore" else None
-    )
-    spllift = SPLLift(
-        analysis, feature_model=feature_model, fm_mode=job.fm_mode
-    )
     # A job that sets no worklist order runs fifo whatever
     # $SPLLIFT_WORKLIST_ORDER says; its other options default as in solve.
-    options = {"worklist_order": "fifo", **job.solve_options()}
-    started = time.perf_counter()
-    results = spllift.solve(**options)
-    elapsed = time.perf_counter() - started
-    return build_record(job, results, solve_seconds=elapsed)
+    _, results = solve_product_line(
+        product_line,
+        resolve_analysis(job.analysis),
+        job.fm_mode,
+        **{"worklist_order": "fifo", **job.solve_options()},
+    )
+    with obs.tracer().span("service/build_record"):
+        return build_record(job, results, solve_seconds=results.solve_seconds)
+
+
+def solve_product_line(
+    product_line: ProductLine,
+    analysis_factory: Callable[[ICFG], IFDSProblem],
+    fm_mode: str = "edge",
+    summary_store: Optional[object] = None,
+    **solve_options,
+) -> Tuple[IFDSProblem, SPLLiftResults]:
+    """The one lifted pass over ``product_line``; returns the (unlifted)
+    analysis and its lifted results.
+
+    Forces the stages in order, each in its own span: ``frontend/parse``,
+    ``frontend/lower``, ``frontend/icfg``, ``spllift/lift`` (the analysis
+    and its lifting, feature model included) and ``spllift/solve``.
+    Stages the product line already holds cost nothing.  With
+    ``summary_store`` (an opened store backend) the solve reuses and
+    refreshes per-method summaries; ``solve_options`` are the other
+    :meth:`SPLLift.solve` keyword arguments.
+    """
+    tracer = obs.tracer()
+    with tracer.span("frontend/parse"):
+        product_line.ast
+    with tracer.span("frontend/lower"):
+        product_line.ir
+    with tracer.span("frontend/icfg"):
+        icfg = product_line.icfg
+    with tracer.span("spllift/lift"):
+        spllift = SPLLift(
+            analysis_factory(icfg),
+            feature_model=product_line.feature_model,
+            fm_mode=fm_mode,
+        )
+    if summary_store is not None:
+        from repro.ide.summaries import summary_cache_for
+
+        solve_options["summaries"] = summary_cache_for(spllift, summary_store)
+    return spllift.analysis, spllift.solve(**solve_options)
 
 
 def build_record(job: AnalysisJob, results, solve_seconds: float) -> Dict[str, object]:
     """Package solved :class:`SPLLiftResults` as a store record.  The
     lines are rendered once and the digest is taken over those lines."""
-    from repro.core.solver import lines_digest
-    from repro.ifds.problem import ZERO
-
     facts = sum(
         1
         for (_, fact), constraint in results.items()

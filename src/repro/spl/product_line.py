@@ -64,10 +64,6 @@ class ProductLine:
             self._icfg = ICFG.for_entry(self.ir, self.entry)
         return self._icfg
 
-    def fresh_icfg(self) -> ICFG:
-        """A fresh ICFG (for timing call-graph construction itself)."""
-        return ICFG.for_entry(self.ir, self.entry)
-
     def verify(self) -> "ProductLine":
         """Run the IR well-formedness verifier; returns self for chaining."""
         from repro.ir.verify import verify_program

@@ -13,11 +13,15 @@ jump-function work than "seed" (that is the point of the design); and
 
 import pytest
 
-from repro.analyses import TaintAnalysis, UninitializedVariablesAnalysis
+from repro.analyses import (
+    ReachingDefinitionsAnalysis,
+    TaintAnalysis,
+    UninitializedVariablesAnalysis,
+)
 from repro.constraints import BddConstraintSystem
 from repro.core import SPLLift
 from repro.core.lifting import FM_MODES
-from repro.spl import device_spl, figure1_with_model
+from repro.spl import device_spl, figure1_with_model, gpl_like
 
 
 def solve_mode(product_line, analysis_class, fm_mode, system):
@@ -81,6 +85,22 @@ def test_ignore_mode_reports_invalid_config_results():
     constraint = ignore.constraint_for(stmt, fact)
     # Without the model the leak is reported for the (invalid) product.
     assert constraint == system.parse("!F && G && !H")
+
+
+def test_ignore_mode_drops_a_given_model():
+    """Ignoring a given model solves exactly as giving none: the results
+    carry no model and every result line is the same."""
+    product_line = gpl_like()
+    digests = []
+    for feature_model in (product_line.feature_model, None):
+        results = SPLLift(
+            ReachingDefinitionsAnalysis(product_line.icfg),
+            feature_model=feature_model,
+            fm_mode="ignore",
+        ).solve()
+        assert results.feature_model.is_true
+        digests.append(results.result_digest())
+    assert digests[0] == digests[1]
 
 
 def test_seed_mode_filters_in_value_phase():

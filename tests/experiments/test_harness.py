@@ -3,27 +3,26 @@
 import pytest
 
 from repro.analyses import TaintAnalysis, UninitializedVariablesAnalysis
-from repro.experiments.harness import (
-    measure_call_graph,
-    run_a2_campaign,
-    run_spllift,
-)
+from repro.experiments.harness import measure_call_graph, run_a2_campaign
+from repro.service.worker import solve_product_line
 from repro.spl import device_spl, figure1
 
 
 class TestRunSPLLift:
+    """The experiments run SPLLIFT through the service's one lifted pass."""
+
     def test_returns_time_and_results(self):
-        seconds, results = run_spllift(figure1(), TaintAnalysis)
-        assert seconds > 0
+        _, results = solve_product_line(figure1(), TaintAnalysis)
+        assert results.solve_seconds > 0
         assert results.stats["jump_functions"] > 0
 
     def test_fm_modes(self):
         product_line = device_spl()
         for fm_mode in ("edge", "seed", "ignore"):
-            seconds, results = run_spllift(
-                product_line, UninitializedVariablesAnalysis, fm_mode=fm_mode
+            _, results = solve_product_line(
+                product_line, UninitializedVariablesAnalysis, fm_mode
             )
-            assert seconds > 0
+            assert results.solve_seconds > 0
 
 
 class TestA2Campaign:

@@ -73,6 +73,30 @@ class TestTable3:
                 assert cell.a2_average_seconds > 0
         assert "Table 3" in render_table3(rows)
 
+    def test_job_dying_in_the_pool_is_rerun_in_the_parent(self, monkeypatch):
+        """Every SPLLIFT job's pool worker dies on each attempt (the
+        ``_test_crash_always`` hook, inert in-process); the parent re-runs
+        the failed jobs and the table still fills every cell."""
+        import dataclasses
+
+        from repro.experiments import table3
+
+        build = table3.spllift_job
+
+        def crashing_job(*args, **kwargs):
+            job = build(*args, **kwargs)
+            options = {**job.options, "_test_crash_always": True}
+            return dataclasses.replace(job, options=options)
+
+        monkeypatch.setattr(table3, "spllift_job", crashing_job)
+        rows = run_table3(TINY_SUBJECTS, TINY_ANALYSES, parallel=2)
+        assert [len(row.cells) for row in rows] == [2, 2]
+        for row in rows:
+            for cell in row.cells:
+                assert cell.regarded_seconds > 0
+                assert cell.ignored_seconds > 0
+                assert cell.a2_average_seconds > 0
+
 
 class TestQualitative:
     def test_rows_and_render(self):

@@ -1,12 +1,13 @@
-"""Tests for scripts/compare_metrics.py (the counter-drift CI gate)."""
+"""Tests for the counter-drift CI gate: ``spllift obs diff``, which CI
+runs as ``python -m repro.cli obs diff BASELINE CURRENT ...``."""
 
+import contextlib
+import io
 import json
-import subprocess
-import sys
 from pathlib import Path
+from types import SimpleNamespace
 
-REPO = Path(__file__).resolve().parents[2]
-SCRIPT = REPO / "scripts" / "compare_metrics.py"
+from repro.cli import main
 
 
 def snapshot(path: Path, counters=None, gauges=None, histograms=None):
@@ -26,10 +27,12 @@ def snapshot(path: Path, counters=None, gauges=None, histograms=None):
 
 
 def run(*argv):
-    return subprocess.run(
-        [sys.executable, str(SCRIPT), *map(str, argv)],
-        capture_output=True,
-        text=True,
+    """``spllift obs diff`` on ``argv``: its exit status and output."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        returncode = main(["obs", "diff", *map(str, argv)])
+    return SimpleNamespace(
+        returncode=returncode, stdout=stdout.getvalue(), stderr=stderr.getvalue()
     )
 
 
@@ -171,15 +174,15 @@ class TestCompareMetrics:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         good = snapshot(tmp_path / "good.json", counters={})
-        assert run(bad, good).returncode == 2
+        result = run(bad, good)
+        assert result.returncode == 2
+        assert result.stderr.startswith("spllift: error: ")
+        assert len(result.stderr.strip().splitlines()) == 1
 
     def test_real_snapshot_roundtrip(self, tmp_path):
         """A snapshot produced by the live registry gates against itself."""
-        sys.path.insert(0, str(REPO / "src"))
-        try:
-            from repro.obs.metrics import MetricsRegistry
-        finally:
-            sys.path.pop(0)
+        from repro.obs.metrics import MetricsRegistry
+
         registry = MetricsRegistry()
         registry.inc("ide.jumps", 42)
         registry.gauge("bdd.unique_load_factor", 0.25)

@@ -15,10 +15,6 @@ class TestPipelineCaching:
         assert product_line.ir is product_line.ir
         assert product_line.icfg is product_line.icfg
 
-    def test_fresh_icfg_is_new(self):
-        product_line = figure1()
-        assert product_line.fresh_icfg() is not product_line.icfg
-
 
 class TestMetrics:
     def test_kloc(self):

@@ -389,6 +389,50 @@ class TestTelemetry:
 
         assert not obs.tracer().enabled
 
+    #: The lifted pass's stages, one span each, in the order they run.
+    STAGES = [
+        "frontend/parse",
+        "frontend/lower",
+        "frontend/icfg",
+        "spllift/lift",
+        "spllift/solve",
+    ]
+
+    def _begun(self, trace_path):
+        return [
+            event["name"]
+            for event in json.loads(trace_path.read_text())
+            if event["ph"] == "B"
+        ]
+
+    def test_analyze_trace_names_each_stage(self, spl_file, tmp_path, capsys):
+        trace_path = tmp_path / "trace.json"
+        main(["analyze", spl_file, "--trace", str(trace_path)])
+        begun = self._begun(trace_path)
+        assert [name for name in begun if name in self.STAGES] == self.STAGES
+        assert begun[-1] == "cli/findings"
+
+    def test_batch_trace_names_each_stage(self, tmp_path, capsys):
+        manifest = tmp_path / "batch.json"
+        manifest.write_text(
+            json.dumps({"jobs": [{"source": FIGURE1_SOURCE, "analysis": "taint"}]})
+        )
+        trace_path = tmp_path / "trace.json"
+        rc = main(
+            [
+                "batch",
+                str(manifest),
+                "--no-pool",
+                "--no-store",
+                "--trace",
+                str(trace_path),
+            ]
+        )
+        assert rc == 0
+        begun = self._begun(trace_path)
+        assert [name for name in begun if name in self.STAGES] == self.STAGES
+        assert "service/build_record" in begun
+
     def test_analyze_metrics_report(self, spl_file, tmp_path, capsys):
         import json
 

@@ -487,6 +487,55 @@ class TestCleanErrors:
         rc = main(["interfaces", "no-such-file.mj", "--feature", "F"])
         self._check(capsys, rc)
 
+    #: Bytes that are not UTF-8 (a UTF-16 byte-order mark).
+    NOT_UTF8 = b"\xff\xfe"
+
+    @pytest.mark.parametrize(
+        "command",
+        [["analyze"], ["run"], ["metrics"], ["interfaces", "--feature", "F"]],
+        ids=["analyze", "run", "metrics", "interfaces"],
+    )
+    def test_non_utf8_source(self, tmp_path, capsys, command):
+        path = tmp_path / "input.mj"
+        path.write_bytes(self.NOT_UTF8 + FIGURE1_SOURCE.encode("utf-8"))
+        rc = main([*command, str(path)])
+        captured = self._check(capsys, rc)
+        assert str(path) in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "command",
+        [["analyze"], ["run"], ["metrics"], ["interfaces", "--feature", "F"]],
+        ids=["analyze", "run", "metrics", "interfaces"],
+    )
+    def test_non_utf8_feature_model(self, tmp_path, capsys, command):
+        source = tmp_path / "ok.mj"
+        source.write_text(FIGURE1_SOURCE)
+        model = tmp_path / "model.fm"
+        model.write_bytes(self.NOT_UTF8 + b"featuremodel m root R { }\n")
+        rc = main([*command, str(source), "--feature-model", str(model)])
+        captured = self._check(capsys, rc)
+        assert str(model) in captured.err
+        assert captured.out == ""
+
+    def test_batch_non_utf8_manifest(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        path.write_bytes(self.NOT_UTF8 + b'{"campaign": "paper"}')
+        rc = main(["batch", str(path), "--no-store"])
+        assert str(path) in self._check(capsys, rc).err
+
+    def test_batch_non_utf8_source_file(self, tmp_path, capsys):
+        source = tmp_path / "input.mj"
+        source.write_bytes(self.NOT_UTF8 + FIGURE1_SOURCE.encode("utf-8"))
+        path = tmp_path / "m.json"
+        path.write_text(
+            json.dumps({"jobs": [{"file": "input.mj", "analysis": "taint"}]})
+        )
+        rc = main(["batch", str(path), "--no-store"])
+        captured = self._check(capsys, rc)
+        assert str(source) in captured.err
+        assert captured.out == ""
+
     def test_unknown_subcommand_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["frobnicate"])
