@@ -55,7 +55,7 @@ from repro.minijava.lexer import LexError
 from repro.minijava.parser import ParseError
 from repro.obs import runtime as obs
 from repro.obs.flight import load_flight_dump, render_postmortem
-from repro.obs.log import LOG_ENV, format_line, iter_log, parse_line
+from repro.obs.log import LOG_ENV, decode_line, format_line, iter_log, parse_line
 from repro.obs.progress import ProgressReporter
 from repro.obs.regress import (
     compare,
@@ -506,19 +506,27 @@ def _cmd_obs_diff(args) -> int:
 
 
 def _cmd_obs_tail(args) -> int:
-    records = list(iter_log(args.file))
+    try:
+        records = list(iter_log(args.file))
+    except ValueError as error:
+        raise ServiceError(str(error))
     for record in records[-args.lines:] if args.lines else records:
         print(format_line(record))
     if not args.follow:
         return 0
     try:
-        with open(args.file, encoding="utf-8") as handle:
-            handle.seek(0, 2)  # only lines appended from now on
+        with open(args.file, "rb") as handle:
+            offset = handle.seek(0, 2)  # only lines appended from now on
             while True:
-                line = handle.readline()
-                if not line:
+                raw = handle.readline()
+                if not raw:
                     time.sleep(0.25)
                     continue
+                try:
+                    line = decode_line(args.file, raw, offset)
+                except ValueError as error:
+                    raise ServiceError(str(error))
+                offset += len(raw)
                 record = parse_line(line)  # None: torn line mid-write
                 if record is not None:
                     print(format_line(record), flush=True)

@@ -7,7 +7,7 @@ from repro.core.emergent import (
 )
 from repro.core.icfg import LiftedICFG
 from repro.core.lifting import FM_MODES, ConstraintEdge, LiftedProblem
-from repro.core.solver import SPLLift, SPLLiftResults
+from repro.core.solver import ResultLines, SPLLift, SPLLiftResults
 
 __all__ = [
     "LiftedICFG",
@@ -16,6 +16,7 @@ __all__ = [
     "FM_MODES",
     "SPLLift",
     "SPLLiftResults",
+    "ResultLines",
     "EmergentInterface",
     "FeatureDependency",
     "compute_emergent_interface",

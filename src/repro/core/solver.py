@@ -19,7 +19,20 @@ from __future__ import annotations
 
 import hashlib
 import time
-from typing import Dict, Generic, Hashable, List, Optional, TypeVar, Union
+from itertools import islice
+from operator import add
+from typing import (
+    Dict,
+    Generic,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    TypeVar,
+    Union,
+)
 
 from repro.constraints.base import Constraint, ConstraintSystem, as_assignment
 from repro.constraints.bddsystem import BddConstraintSystem
@@ -31,7 +44,7 @@ from repro.ifds.problem import IFDSProblem, ZERO
 from repro.ir.instructions import Instruction
 from repro.obs import runtime as obs
 
-__all__ = ["SPLLift", "SPLLiftResults", "lines_digest"]
+__all__ = ["SPLLift", "SPLLiftResults", "ResultLines", "lines_digest"]
 
 D = TypeVar("D", bound=Hashable)
 
@@ -120,7 +133,7 @@ class SPLLiftResults(Generic[D]):
     # Canonical serialization (the analysis service's exchange format)
     # ------------------------------------------------------------------
 
-    def result_lines(self) -> List[str]:
+    def result_lines(self) -> ResultLines:
         """Canonical, order-independent serialization of the solution.
 
         One ``location|statement|fact|constraint`` line per (statement,
@@ -128,46 +141,157 @@ class SPLLiftResults(Generic[D]):
         locations, statement/fact renderings and constraint strings are
         all deterministic for a given subject, so two solves of the same
         job — in different processes, on different machines — produce the
-        same lines.  This is what the result store persists and what the
+        same lines.  This is what a result record stores and what the
         sha256 :meth:`result_digest` is computed over.
 
         Each distinct constraint, each statement's ``location|statement|``
         prefix and each fact's ``repr`` is rendered once per call: equal
         constraints share one handle (one BDD node, one DNF cube set), and
-        a pass holds far fewer of them than lines.  The memos live only
-        for the call.
+        a pass holds far fewer of them than lines.  The lines come back
+        compact (:class:`ResultLines`): each distinct constraint's text is
+        held once.  The same pass counts the lines whose fact is not the
+        0-fact (:attr:`ResultLines.facts`).
         """
         prefixes: Dict[Instruction, str] = {}
         facts: Dict[D, str] = {}
-        constraints: Dict[Constraint, str] = {}
-        lines = []
+        constraints: Dict[Constraint, int] = {}
+        texts: List[str] = []
+        heads: List[str] = []
+        indices: List[int] = []
+        findings = 0
         for (stmt, fact), constraint in self._ide.items():
             if constraint.is_false:
                 continue
+            if fact is not ZERO:
+                findings += 1
             prefix = prefixes.get(stmt)
             if prefix is None:
                 prefix = prefixes[stmt] = f"{stmt.location}|{stmt}|"
             rendered_fact = facts.get(fact)
             if rendered_fact is None:
-                rendered_fact = facts[fact] = repr(fact)
-            rendered = constraints.get(constraint)
-            if rendered is None:
-                rendered = constraints[constraint] = str(constraint)
-            lines.append(f"{prefix}{rendered_fact}|{rendered}")
-        lines.sort()
-        return lines
+                rendered_fact = facts[fact] = f"{fact!r}|"
+            index = constraints.get(constraint)
+            if index is None:
+                index = constraints[constraint] = len(texts)
+                texts.append(str(constraint))
+            heads.append(prefix + rendered_fact)
+            indices.append(index)
+        # The heads alone order the full lines (see ResultLines).  A
+        # permutation, not a tuple per line: tuples are objects the
+        # cyclic collector tracks, and a result has tens of thousands.
+        order = sorted(range(len(heads)), key=heads.__getitem__)
+        table = sorted(set(texts))
+        position = {text: index for index, text in enumerate(table)}
+        remap = [position[text] for text in texts]
+        return ResultLines(
+            table,
+            list(map(heads.__getitem__, order)),
+            list(map(remap.__getitem__, map(indices.__getitem__, order))),
+            findings,
+        )
 
     def result_digest(self) -> str:
         """sha256 hex digest of :meth:`result_lines` — the bit-identity
         check used by the regression protocol and the warm-cache verify."""
-        return lines_digest(self.result_lines())
+        return self.result_lines().digest()
 
 
-def lines_digest(lines: List[str]) -> str:
+#: Lines hashed per ``update`` by :func:`lines_digest`: few, so that a
+#: chunk of long lines stays small (GPL-like reaching definitions
+#: averages ~1 KB a line, 12 MB in all).
+_DIGEST_CHUNK = 64
+
+
+def lines_digest(lines: Iterable[str]) -> str:
     """sha256 hex digest of canonical result lines, newline-joined: the
-    one definition of a result digest, for callers that already hold
-    the lines (:func:`repro.service.worker.build_record`)."""
-    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+    one definition of a result digest.  The lines are hashed a chunk at
+    a time, so their joined text is never built whole."""
+    hasher = hashlib.sha256()
+    lines = iter(lines)
+    chunk = list(islice(lines, _DIGEST_CHUNK))
+    while chunk:
+        hasher.update("\n".join(chunk).encode("utf-8"))
+        chunk = list(islice(lines, _DIGEST_CHUNK))
+        if chunk:
+            hasher.update(b"\n")
+    return hasher.hexdigest()
+
+
+class ResultLines(Sequence[str]):
+    """The sorted canonical lines of one solve, each constraint held once.
+
+    A line is ``head + constraint``: its ``location|statement|fact|``
+    head and the text of its constraint.  The distinct constraint texts
+    are one sorted table (:attr:`constraints`), and each line keeps its
+    head and an index into it: the 12 paper jobs have 75,146 lines but
+    only 1,177 distinct constraints.  Indexing and iteration yield the
+    expanded lines; :meth:`rows` gives the compact
+    ``location|statement|fact|<index>`` form a result record stores, and
+    :meth:`digest` hashes the expanded text.
+
+    The heads are sorted, and that is the order of the full lines: no
+    location or fact rendering contains ``|`` and each location names
+    one statement, so no head is a prefix of another and two lines
+    compare within their heads.  A statement rendering may contain
+    ``|``, so a row splits at its last ``|`` (:meth:`from_rows`).
+    """
+
+    __slots__ = ("constraints", "facts", "_heads", "_indices")
+
+    def __init__(
+        self,
+        constraints: List[str],
+        heads: List[str],
+        indices: List[int],
+        facts: int,
+    ) -> None:
+        #: The distinct rendered constraints, sorted.
+        self.constraints = constraints
+        #: How many lines have a fact other than the 0-fact.
+        self.facts = facts
+        self._heads = heads
+        self._indices = indices
+
+    @classmethod
+    def from_rows(
+        cls, constraints: List[str], rows: Sequence[str], facts: int
+    ) -> ResultLines:
+        """The lines of stored :meth:`rows` over their ``constraints``."""
+        heads = []
+        indices = []
+        for row in rows:
+            cut = row.rindex("|") + 1
+            heads.append(row[:cut])
+            indices.append(int(row[cut:]))
+        return cls(list(constraints), heads, indices, facts)
+
+    def rows(self) -> List[str]:
+        """``location|statement|fact|<index>`` per line, in order."""
+        labels = [str(index) for index in range(len(self.constraints))]
+        return list(map(add, self._heads, map(labels.__getitem__, self._indices)))
+
+    def digest(self) -> str:
+        """sha256 hex digest of the expanded lines (:func:`lines_digest`)."""
+        return lines_digest(self)
+
+    def __len__(self) -> int:
+        return len(self._heads)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[position] for position in range(*index.indices(len(self)))]
+        return self._heads[index] + self.constraints[self._indices[index]]
+
+    def __iter__(self) -> Iterator[str]:
+        return map(
+            add, self._heads, map(self.constraints.__getitem__, self._indices)
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"ResultLines({len(self)} lines, "
+            f"{len(self.constraints)} constraints)"
+        )
 
 
 class SPLLift(Generic[D]):

@@ -73,7 +73,7 @@ __all__ = [
 
 #: Record kind for method summaries in the result store (the store's
 #: ``stats()`` counts records by this field, so summaries show up as
-#: their own kind next to ``spllift-result/v1``).
+#: their own kind next to ``spllift-result/v2``).
 SUMMARY_SCHEMA = "spllift-summary/v1"
 
 

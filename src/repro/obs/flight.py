@@ -45,6 +45,7 @@ from collections import deque
 from typing import Dict, List, Optional
 
 from repro.obs.log import iter_log
+from repro.utils.files import read_utf8
 
 __all__ = [
     "FLIGHT_SCHEMA",
@@ -326,11 +327,10 @@ def load_flight_dump(path) -> Dict[str, object]:
     dict ``{"dumps": [...]}``; raises ``ValueError`` for anything else
     (the CLI renders that as the one-line error contract).
     """
-    with open(path, encoding="utf-8") as handle:
-        try:
-            document = json.loads(handle.read())
-        except json.JSONDecodeError as error:
-            raise ValueError(f"{path} is not valid JSON: {error}") from None
+    try:
+        document = json.loads(read_utf8(path))
+    except json.JSONDecodeError as error:
+        raise ValueError(f"{path} is not valid JSON: {error}") from None
     if not isinstance(document, dict):
         raise ValueError(f"{path}: expected a JSON object at top level")
     schema = document.get("schema")

@@ -31,7 +31,16 @@ import os
 import time
 from typing import Dict, Optional
 
-__all__ = ["LOG_ENV", "EventLog", "iter_log", "parse_line", "format_line"]
+from repro.utils.files import not_utf8_message
+
+__all__ = [
+    "LOG_ENV",
+    "EventLog",
+    "iter_log",
+    "decode_line",
+    "parse_line",
+    "format_line",
+]
 
 #: Path of the shared JSONL event log; set by ``--log`` in the parent
 #: and inherited by every worker.
@@ -101,12 +110,24 @@ class EventLog:
 
 def iter_log(path):
     """Yield the records of a JSON-lines file — an event log or a flight
-    spill — skipping blank and torn lines."""
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            record = parse_line(line)
+    spill — skipping blank and torn lines.  A line that is not UTF-8
+    raises ``ValueError`` naming the file and the byte's offset."""
+    with open(path, "rb") as handle:
+        offset = 0
+        for raw in handle:
+            record = parse_line(decode_line(path, raw, offset))
+            offset += len(raw)
             if record is not None:
                 yield record
+
+
+def decode_line(path, raw: bytes, offset: int) -> str:
+    """One line of a JSON-lines file that starts ``offset`` bytes into
+    it, decoded as UTF-8 (``ValueError`` naming the file if it is not)."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as error:
+        raise ValueError(not_utf8_message(path, error, offset)) from None
 
 
 def parse_line(line: str) -> Optional[Dict[str, object]]:

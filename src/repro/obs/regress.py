@@ -25,6 +25,8 @@ import fnmatch
 import json
 from typing import Dict, List, Optional, Tuple
 
+from repro.utils.files import read_utf8
+
 __all__ = [
     "load_snapshot",
     "parse_threshold_overrides",
@@ -42,11 +44,10 @@ def load_snapshot(path: str) -> Dict[str, float]:
     Counter/gauge values map directly; histograms contribute their
     sample ``count`` under ``<name>.count``.
     """
-    with open(path) as handle:
-        try:
-            document = json.load(handle)
-        except json.JSONDecodeError as error:
-            raise ValueError(f"{path}: not valid JSON: {error}") from None
+    try:
+        document = json.loads(read_utf8(path))
+    except json.JSONDecodeError as error:
+        raise ValueError(f"{path}: not valid JSON: {error}") from None
     if not isinstance(document, dict):
         raise ValueError(f"{path}: no metrics object found")
     metrics = document.get("metrics", document)

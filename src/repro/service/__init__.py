@@ -47,7 +47,7 @@ from repro.service.scheduler import (
 )
 from repro.service.server import make_server, serve_store
 from repro.service.store import ResultStore, default_cache_dir
-from repro.service.worker import build_record, execute_job
+from repro.service.worker import build_record, execute_job, expand_lines
 
 __all__ = [
     "AnalysisJob",
@@ -65,6 +65,7 @@ __all__ = [
     "run_batch",
     "build_record",
     "execute_job",
+    "expand_lines",
     "canonical_analysis_name",
     "canonical_feature_model_text",
     "default_cache_dir",

@@ -35,7 +35,9 @@ from repro.obs import runtime as obs
 
 __all__ = ["StoreBackend", "InstrumentedStore", "RESULT_SCHEMA", "encode_record"]
 
-RESULT_SCHEMA = "spllift-result/v1"
+#: The record kind of a job's result (see :mod:`repro.service.worker`).
+#: A stored record of any other kind is not served as a result.
+RESULT_SCHEMA = "spllift-result/v2"
 
 
 def encode_record(record: Dict[str, object]) -> str:

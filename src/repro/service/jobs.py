@@ -71,6 +71,7 @@ from repro.featuremodel.printer import render_feature_model
 from repro.ide.solver import resolve_worklist_order
 from repro.ifds.problem import IFDSProblem
 from repro.ir.icfg import ICFG
+from repro.utils.files import read_utf8
 
 __all__ = [
     "ServiceError",
@@ -382,14 +383,11 @@ def read_text(path) -> str:
     unreadable or undecodable file is a :class:`ServiceError` naming it.
     """
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return read_utf8(path)
     except OSError as error:
         raise ServiceError(f"cannot read {path}: {error.strerror}") from error
-    except UnicodeDecodeError as error:
-        raise ServiceError(
-            f"cannot read {path}: not UTF-8 text "
-            f"(byte {error.object[error.start]:#04x} at offset {error.start})"
-        ) from None
+    except ValueError as error:
+        raise ServiceError(str(error)) from None
 
 
 def _parse_fm(text: str, path: Optional[Path]) -> FeatureModel:

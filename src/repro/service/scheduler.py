@@ -8,7 +8,9 @@ machinery lives in :class:`repro.core.parallel.ProcessTaskPool` (shared
 with the experiment campaigns); this module adds the job semantics:
 
 - **store first** — jobs whose digest is already in the result store are
-  served without touching a worker (the warm path);
+  served without touching a worker (the warm path); a stored record of
+  another schema than ``RESULT_SCHEMA`` counts as absent, so the job is
+  recomputed and its record overwritten;
 - **crash → bounded retry** — a worker that dies without reporting is
   re-queued up to ``max_retries`` times; exhausted retries become a
   per-job failure, never a crashed batch;
@@ -56,6 +58,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.parallel import ProcessTaskPool
 from repro.obs import runtime as obs
+from repro.service.backends.base import RESULT_SCHEMA
 from repro.service.jobs import AnalysisJob, BatchPlan, ServiceError
 from repro.service.worker import execute_job
 
@@ -247,9 +250,11 @@ class BatchScheduler:
         ):
             # Warm path first, dependencies notwithstanding: a cached job
             # settles its outgoing edges without running (store-first).
+            # A record of another schema (an older ``spllift-result/v1``)
+            # is a miss: the job runs again and its record replaces it.
             for index, job in enumerate(jobs):
                 record = self.store.get(job.digest) if self.store else None
-                if record is not None:
+                if record is not None and record.get("schema") == RESULT_SCHEMA:
                     outcomes[index] = JobOutcome(
                         job=job, status=CACHED, record=record, executor="store"
                     )
@@ -321,7 +326,10 @@ class BatchScheduler:
                 for index, task in zip(ready, results):
                     if task.ok:
                         if self.store is not None:
-                            self.store.put(task.result)
+                            with obs.tracer().span(
+                                "service/store_put", label=jobs[index].label
+                            ):
+                                self.store.put(task.result)
                         outcomes[index] = JobOutcome(
                             job=jobs[index],
                             status=COMPUTED,

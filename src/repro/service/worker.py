@@ -10,12 +10,19 @@ reach it through the batch scheduler.
 
 The produced **record** is self-describing and store-ready::
 
-    {"schema": "spllift-result/v1",
+    {"schema": "spllift-result/v2",
      "digest": <job digest>, "job": {…},
-     "result_digest": <sha256 over the canonical lines>,
-     "lines": ["Main.main:4|print(y);|y|!F & G & !H", …],
-     "findings": <satisfiable non-zero facts>,
+     "result_digest": <sha256 over the expanded canonical lines>,
+     "constraints": ["!F & G & !H", "true", …],
+     "lines": ["Main.main:4|print(y);|y|0", …],
+     "facts": <satisfiable non-zero facts>,
      "stats": {…solver counters…}, "solve_seconds": …}
+
+``constraints`` holds each distinct rendered constraint once, sorted;
+each of the sorted ``lines`` is a ``location|statement|fact|`` head and
+the index of its constraint in that table.  :func:`expand_lines` turns a
+record back into the full ``location|statement|fact|constraint`` lines
+that ``result_digest`` hashes.
 
 Fault injection: the ``_test_crash_marker`` / ``_test_crash_always`` job
 options make a *pool worker* die with SIGKILL (before doing any work) so
@@ -31,16 +38,16 @@ import signal
 import time
 from typing import Callable, Dict, Optional, Tuple
 
-from repro.core.solver import SPLLift, SPLLiftResults, lines_digest
+from repro.core.solver import ResultLines, SPLLift, SPLLiftResults
 from repro.datalog import resolve_engine
-from repro.ifds.problem import ZERO, IFDSProblem
+from repro.ifds.problem import IFDSProblem
 from repro.ir.icfg import ICFG
 from repro.obs import runtime as obs
 from repro.service.jobs import AnalysisJob, resolve_analysis
 from repro.service.store import RESULT_SCHEMA
 from repro.spl.product_line import ProductLine
 
-__all__ = ["solve_product_line", "execute_job", "build_record"]
+__all__ = ["solve_product_line", "execute_job", "build_record", "expand_lines"]
 
 #: Set in pool worker processes; gates the fault-injection hooks.
 _WORKER_ENV = "SPLLIFT_WORKER"
@@ -171,21 +178,25 @@ def solve_product_line(
 
 def build_record(job: AnalysisJob, results, solve_seconds: float) -> Dict[str, object]:
     """Package solved :class:`SPLLiftResults` as a store record.  The
-    lines are rendered once and the digest is taken over those lines."""
-    facts = sum(
-        1
-        for (_, fact), constraint in results.items()
-        if fact is not ZERO and not constraint.is_false
-    )
+    lines are rendered once, and the digest is taken over those lines."""
     lines = results.result_lines()
     return {
         "schema": RESULT_SCHEMA,
         "digest": job.digest,
         "job": job.describe(),
-        "result_digest": lines_digest(lines),
-        "lines": lines,
-        "facts": facts,
+        "result_digest": lines.digest(),
+        "constraints": lines.constraints,
+        "lines": lines.rows(),
+        "facts": lines.facts,
         "stats": dict(results.stats),
         "solve_seconds": round(solve_seconds, 6),
     }
 
+
+def expand_lines(record: Dict[str, object]) -> ResultLines:
+    """The canonical lines of a result record, expanded: its items are
+    the full ``location|statement|fact|constraint`` lines, and its
+    ``digest()`` is the record's ``result_digest``."""
+    return ResultLines.from_rows(
+        record["constraints"], record["lines"], record["facts"]
+    )

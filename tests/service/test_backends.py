@@ -31,9 +31,10 @@ DIGEST = "ab" * 32
 
 def _record(digest=DIGEST, **extra):
     record = {
-        "schema": "spllift-result/v1",
+        "schema": "spllift-result/v2",
         "digest": digest,
-        "lines": ["Main.main:4|print(y);|y|!F & G & !H"],
+        "constraints": ["!F & G & !H"],
+        "lines": ["Main.main:4|print(y);|y|0"],
     }
     record.update(extra)
     return record
@@ -116,7 +117,7 @@ class TestSqliteRoundTrip:
 
     def test_put_requires_digest(self, sqlite_store):
         with pytest.raises(ValueError, match="digest"):
-            sqlite_store.put({"schema": "spllift-result/v1"})
+            sqlite_store.put({"schema": "spllift-result/v2"})
 
     def test_mis_keyed_record_is_a_miss(self, sqlite_store):
         """A row whose payload digest disagrees with its key fails open."""
@@ -158,7 +159,7 @@ class TestSqliteMaintenance:
         stats = sqlite_store.stats()
         assert stats["records"] == 2
         assert stats["bytes"] > 0
-        assert stats["kinds"] == {"spllift-result/v1": 1, "other/v1": 1}
+        assert stats["kinds"] == {"spllift-result/v2": 1, "other/v1": 1}
 
     def test_clear(self, sqlite_store):
         sqlite_store.put(_record())

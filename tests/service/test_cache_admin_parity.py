@@ -23,9 +23,10 @@ from repro.spl import device_spl
 def _fake_result_record():
     payload = "parity-test-result"
     return {
-        "schema": "spllift-result/v1",
+        "schema": "spllift-result/v2",
         "digest": hashlib.sha256(payload.encode()).hexdigest(),
         "subject": "parity-test",
+        "constraints": [],
         "lines": [],
     }
 
@@ -68,7 +69,7 @@ class TestAdminParity:
         _populate(spec)
         assert main(["cache", "stats", "--cache-dir", spec]) == 0
         out = capsys.readouterr().out
-        assert "spllift-result/v1: 1" in out
+        assert "spllift-result/v2: 1" in out
         kind_line = next(
             line for line in out.splitlines() if SUMMARY_SCHEMA in line
         )

@@ -16,8 +16,10 @@ from repro.service import (
     BatchScheduler,
     ResultStore,
     execute_job,
+    expand_lines,
     run_batch,
 )
+from repro.service.store import RESULT_SCHEMA
 from repro.spl.examples import FIGURE1_SOURCE
 
 BROKEN_SOURCE = "class Main { void main() { this does not parse } }"
@@ -40,6 +42,33 @@ class TestWarmPath:
         assert (
             cold.outcomes[0].result_digest == warm.outcomes[0].result_digest
         )
+
+    def test_v1_record_is_recomputed_and_replaced(self, tmp_path):
+        job = _job(analysis="reaching_definitions")
+        (fresh,) = run_batch([job], store=None, use_pool=False).outcomes
+        # The record an earlier version stored: every line in full.
+        v1 = {
+            "schema": "spllift-result/v1",
+            "digest": job.digest,
+            "job": job.describe(),
+            "result_digest": fresh.result_digest,
+            "lines": list(expand_lines(fresh.record)),
+            "facts": fresh.record["facts"],
+            "stats": {},
+            "solve_seconds": 0.0,
+        }
+        store = ResultStore(tmp_path / "store")
+        store.put(v1)
+        report = run_batch([job], store=store, use_pool=False)
+        assert report.cached == 0 and report.computed == 1
+        assert report.describe()["jobs"][0]["status"] == "computed"
+        stored = store.get(job.digest)
+        assert stored["schema"] == RESULT_SCHEMA == "spllift-result/v2"
+        assert stored["result_digest"] == v1["result_digest"]
+        assert report.outcomes[0].result_digest == v1["result_digest"]
+        assert list(expand_lines(stored)) == v1["lines"]
+        warm = run_batch([job], store=store, use_pool=False)
+        assert warm.cached == 1
 
     def test_no_store_always_computes(self):
         for _ in range(2):

@@ -11,9 +11,10 @@ DIGEST = "ab" * 32
 
 def _record(digest=DIGEST, **extra):
     record = {
-        "schema": "spllift-result/v1",
+        "schema": "spllift-result/v2",
         "digest": digest,
-        "lines": ["Main.main:4|print(y);|y|!F & G & !H"],
+        "constraints": ["!F & G & !H"],
+        "lines": ["Main.main:4|print(y);|y|0"],
     }
     record.update(extra)
     return record
@@ -72,7 +73,7 @@ class TestFailOpen:
 
     def test_put_requires_digest(self, store):
         with pytest.raises(ValueError, match="digest"):
-            store.put({"schema": "spllift-result/v1"})
+            store.put({"schema": "spllift-result/v2"})
 
 
 class TestMaintenance:
@@ -89,7 +90,7 @@ class TestMaintenance:
         stats = store.stats()
         assert stats["records"] == 2
         assert stats["bytes"] > 0
-        assert stats["kinds"] == {"spllift-result/v1": 1, "other/v1": 1}
+        assert stats["kinds"] == {"spllift-result/v2": 1, "other/v1": 1}
         assert stats["corrupt"] == 0
 
     def test_stats_counts_agree_on_corrupt_records(self, store):
@@ -103,7 +104,7 @@ class TestMaintenance:
         stats = store.stats()
         assert stats["records"] == 4
         assert stats["corrupt"] == 2
-        assert stats["kinds"] == {"spllift-result/v1": 1, "other/v1": 1}
+        assert stats["kinds"] == {"spllift-result/v2": 1, "other/v1": 1}
         assert stats["records"] == sum(stats["kinds"].values()) + stats["corrupt"]
 
     def test_iter_records_skips_corrupt(self, store):

@@ -433,6 +433,29 @@ class TestTelemetry:
         assert [name for name in begun if name in self.STAGES] == self.STAGES
         assert "service/build_record" in begun
 
+    def test_batch_trace_names_store_put(self, tmp_path, capsys):
+        manifest = tmp_path / "batch.json"
+        manifest.write_text(
+            json.dumps({"jobs": [{"source": FIGURE1_SOURCE, "analysis": "taint"}]})
+        )
+        trace_path = tmp_path / "trace.json"
+        argv = [
+            "batch",
+            str(manifest),
+            "--no-pool",
+            "--cache-dir",
+            str(tmp_path / "store"),
+            "--trace",
+            str(trace_path),
+        ]
+        assert main(argv) == 0
+        begun = self._begun(trace_path)
+        assert begun.count("service/store_put") == 1
+        assert begun.index("service/build_record") < begun.index("service/store_put")
+        # Served from the store: nothing computed, nothing put.
+        assert main(argv) == 0
+        assert "service/store_put" not in self._begun(trace_path)
+
     def test_analyze_metrics_report(self, spl_file, tmp_path, capsys):
         import json
 

@@ -38,6 +38,19 @@ def crash_manifest(tmp_path):
     return str(path)
 
 
+def non_utf8_file(tmp_path):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe{}")
+    return str(path)
+
+
+def not_utf8_error(path):
+    return (
+        f"spllift: error: cannot read {path}: not UTF-8 text "
+        "(byte 0xff at offset 0)\n"
+    )
+
+
 def metrics_file(tmp_path, name, counters):
     path = tmp_path / name
     path.write_text(json.dumps({
@@ -86,6 +99,12 @@ class TestPostmortem:
         assert rc == 2
         assert err.startswith("spllift: error:")
 
+    def test_error_contract_on_non_utf8_file(self, tmp_path, capsys):
+        path = non_utf8_file(tmp_path)
+        rc = main(["obs", "postmortem", path])
+        assert rc == 2
+        assert capsys.readouterr().err == not_utf8_error(path)
+
 
 class TestObsDiff:
     def test_ok_within_threshold(self, tmp_path, capsys):
@@ -119,6 +138,13 @@ class TestObsDiff:
         assert rc == 2
         assert err.startswith("spllift: error:")
 
+    def test_error_contract_on_non_utf8_file(self, tmp_path, capsys):
+        a = metrics_file(tmp_path, "a.json", {"ide.jumps": 1})
+        path = non_utf8_file(tmp_path)
+        rc = main(["obs", "diff", a, path])
+        assert rc == 2
+        assert capsys.readouterr().err == not_utf8_error(path)
+
 
 class TestObsTail:
     def test_renders_formatted_lines(self, tmp_path, capsys):
@@ -151,6 +177,36 @@ class TestObsTail:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("spllift: error:")
+
+    @pytest.mark.parametrize("follow", [[], ["--follow"]], ids=["once", "follow"])
+    def test_error_contract_on_non_utf8_file(self, tmp_path, capsys, follow):
+        path = non_utf8_file(tmp_path)
+        rc = main(["obs", "tail", path, *follow])
+        assert rc == 2
+        assert capsys.readouterr().err == not_utf8_error(path)
+
+    def test_follow_ends_on_an_appended_non_utf8_line(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import repro.cli
+
+        log = tmp_path / "events.jsonl"
+        log.write_text('{"ts": 1.0, "event": "job.start"}\n')
+
+        def append(seconds):
+            with open(log, "ab") as handle:
+                handle.write(b'{"event": "ok"}\n{"event": "\xc3("}\n')
+
+        monkeypatch.setattr(repro.cli.time, "sleep", append)
+        rc = main(["obs", "tail", str(log), "--follow"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "job.start" in captured.out and " ok" in captured.out
+        offset = len('{"ts": 1.0, "event": "job.start"}\n{"event": "ok"}\n{"event": "')
+        assert captured.err == (
+            f"spllift: error: cannot read {log}: not UTF-8 text "
+            f"(byte 0xc3 at offset {offset})\n"
+        )
 
 
 class TestTraceErrorContract:

@@ -136,7 +136,7 @@ class TestCache:
         assert rc == 0
         assert "records:    2" in out
         assert "corrupt:    0" in out
-        assert "spllift-result/v1: 2" in out
+        assert "spllift-result/v2: 2" in out
         rc = main(["cache", "clear", "--cache-dir", cache_dir])
         out = capsys.readouterr().out
         assert rc == 0
@@ -157,7 +157,7 @@ class TestCache:
         assert rc == 0
         assert "records:    2" in out
         assert "corrupt:    1" in out
-        assert "spllift-result/v1: 1" in out
+        assert "spllift-result/v2: 1" in out
 
     def test_stats_reports_total_bytes(self, manifest, cache_dir, capsys):
         main(["batch", manifest, "--cache-dir", cache_dir, "--no-pool"])
