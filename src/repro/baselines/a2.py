@@ -30,6 +30,7 @@ from repro.ifds.problem import IFDSProblem
 from repro.ifds.solver import IFDSResults, IFDSSolver
 from repro.ir.instructions import Goto, Instruction, Return
 from repro.ir.program import IRMethod
+from repro.utils import collector
 
 __all__ = ["A2Problem", "solve_a2", "measure_a2"]
 
@@ -128,8 +129,15 @@ def measure_a2(
     configurations over :class:`repro.core.parallel.ProcessTaskPool`
     worker processes — the campaign's unit of parallelism is one
     configuration.
+
+    The whole run is one unit with the cyclic collector paused
+    (:mod:`repro.utils.collector`), not just the solve: the result is
+    built while the solver is still alive, and with the collector back
+    on that allocation would start a young collection over the solver's
+    live tables.
     """
-    solver = IFDSSolver(A2Problem(inner, configuration))
-    started = time.perf_counter()
-    solver.solve()
-    return time.perf_counter() - started, dict(solver.stats)
+    with collector.paused():
+        solver = IFDSSolver(A2Problem(inner, configuration))
+        started = time.perf_counter()
+        solver.solve()
+        return time.perf_counter() - started, dict(solver.stats)

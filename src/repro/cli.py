@@ -76,7 +76,7 @@ from repro.service import (
 from repro.service.jobs import read_text
 from repro.service.worker import solve_product_line
 from repro.spl import ProductLine
-from repro.utils import format_count
+from repro.utils import collector, format_count
 
 __all__ = ["main"]
 
@@ -192,6 +192,14 @@ def _findings(
 
 
 def _cmd_analyze(args) -> int:
+    # The whole command runs with the cyclic collector paused
+    # (repro.utils.collector).  The program lives in _analyze's frame,
+    # so it is garbage before the collector comes back on.
+    with collector.paused():
+        return _analyze(args)
+
+
+def _analyze(args) -> int:
     product_line = _load_product_line(args)
     findings, results = _findings(
         product_line,
@@ -417,9 +425,9 @@ def _cmd_trace(args) -> int:
     try:
         events = read_trace(args.file)
     except ValueError as error:
-        # Empty or truncated trace files (a killed --trace run) must
+        # Truncated (a killed --trace run) or non-UTF-8 trace files must
         # follow the one-line error contract, not traceback.
-        raise ServiceError(f"{args.file} is not a valid trace file: {error}")
+        raise ServiceError(str(error))
     spans = [event for event in events if event.get("ph") in ("B", "E", "i")]
     if not spans:
         print(f"spllift: error: no trace events in {args.file}", file=sys.stderr)

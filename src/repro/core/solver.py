@@ -43,6 +43,7 @@ from repro.ide.solver import IDEResults, IDESolver
 from repro.ifds.problem import IFDSProblem, ZERO
 from repro.ir.instructions import Instruction
 from repro.obs import runtime as obs
+from repro.utils import collector
 
 __all__ = ["SPLLift", "SPLLiftResults", "ResultLines", "lines_digest"]
 
@@ -384,17 +385,20 @@ class SPLLift(Generic[D]):
             progress.extra = lambda: {
                 "bdd_nodes": system.solver_stats()["bdd_nodes"]
             }
-        with obs.tracer().span(
-            "spllift/solve", fm_mode=self.fm_mode, engine=engine
-        ):
-            if engine == "datalog":
-                results = self._solve_datalog()
-            else:
-                results = self._solve_timed(
-                    worklist_order, order_seed, summaries
-                )
-        self._publish_bdd_metrics()
-        return results
+        # One unit with the collector paused (repro.utils.collector), so
+        # the engine's solver dies before the collector comes back on.
+        with collector.paused():
+            with obs.tracer().span(
+                "spllift/solve", fm_mode=self.fm_mode, engine=engine
+            ):
+                if engine == "datalog":
+                    results = self._solve_datalog()
+                else:
+                    results = self._solve_timed(
+                        worklist_order, order_seed, summaries
+                    )
+            self._publish_bdd_metrics()
+            return results
 
     def _solve_datalog(self) -> SPLLiftResults[D]:
         from repro.datalog import DatalogSolver

@@ -40,6 +40,7 @@ from repro.ir.instructions import Instruction
 from repro.ir.program import IRMethod
 from repro.ir.rpo import RPORanker
 from repro.obs import runtime as obs
+from repro.utils import collector
 
 __all__ = ["IDESolver", "IDEResults", "WORKLIST_ORDERS", "BucketQueue"]
 
@@ -273,24 +274,25 @@ class IDESolver(Generic[D, V]):
     def solve(self) -> IDEResults[D, V]:
         """Run both phases and return the solved values."""
         tracer = obs.tracer()
-        with tracer.span("ide/solve", order=self._order):
-            with tracer.span("ide/phase1/tabulation"):
-                self._build_jump_functions()
-            if self._summaries is not None:
-                # Store the freshly computed method summaries before the
-                # value phase; phase II reads, never extends, jump rows.
-                self._summaries.harvest(self)
-            with tracer.span("ide/phase2/values"):
-                values = self._compute_values()
-        self.stats.update(self.problem.edge_cache_stats())
-        self.stats["worklist_order"] = self._order
-        # Mirror the per-solve stats dict (the compatibility view) into
-        # the process-wide registry, where campaigns aggregate.
-        obs.publish_stats("ide.solver", self.stats)
-        progress = obs.progress()
-        if progress is not None:
-            progress.finish()
-        return IDEResults(values, self.problem.top_value(), self.problem.zero)
+        with collector.paused():
+            with tracer.span("ide/solve", order=self._order):
+                with tracer.span("ide/phase1/tabulation"):
+                    self._build_jump_functions()
+                if self._summaries is not None:
+                    # Store the freshly computed method summaries before the
+                    # value phase; phase II reads, never extends, jump rows.
+                    self._summaries.harvest(self)
+                with tracer.span("ide/phase2/values"):
+                    values = self._compute_values()
+            self.stats.update(self.problem.edge_cache_stats())
+            self.stats["worklist_order"] = self._order
+            # Mirror the per-solve stats dict (the compatibility view) into
+            # the process-wide registry, where campaigns aggregate.
+            obs.publish_stats("ide.solver", self.stats)
+            progress = obs.progress()
+            if progress is not None:
+                progress.finish()
+            return IDEResults(values, self.problem.top_value(), self.problem.zero)
 
     def _build_jump_functions(self) -> None:
         seed_function = self.problem.seed_edge_function()

@@ -253,7 +253,7 @@ class SummaryCache:
             }
             for method in icfg.reachable_methods:
                 key = summary_record_key(self.problem_key, self._digest_of[method])
-                record = self.store.get(key)
+                record = self.store.get(key, schema=SUMMARY_SCHEMA)
                 decoded = (
                     None if record is None else self._decode_record(method, record)
                 )

@@ -39,6 +39,7 @@ from repro.ir.instructions import Instruction
 from repro.ir.program import IRMethod
 from repro.ir.rpo import RPORanker
 from repro.obs import runtime as obs
+from repro.utils import collector
 
 __all__ = ["IFDSSolver", "IFDSResults"]
 
@@ -146,16 +147,17 @@ class IFDSSolver(Generic[D]):
 
     def solve(self) -> IFDSResults[D]:
         """Run the tabulation to a fixed point and collect results."""
-        with obs.tracer().span("ifds/tabulation", order=self._order):
-            self._tabulate()
-        obs.publish_stats("ifds.solver", self.stats)
-        progress = obs.progress()
-        if progress is not None:
-            progress.finish()
-        facts_at: Dict[Instruction, Set[D]] = {
-            n: {d2 for (_, d2) in edges} for n, edges in self._path_edges.items()
-        }
-        return IFDSResults(facts_at, self.problem.zero)
+        with collector.paused():
+            with obs.tracer().span("ifds/tabulation", order=self._order):
+                self._tabulate()
+            obs.publish_stats("ifds.solver", self.stats)
+            progress = obs.progress()
+            if progress is not None:
+                progress.finish()
+            facts_at: Dict[Instruction, Set[D]] = {
+                n: {d2 for (_, d2) in edges} for n, edges in self._path_edges.items()
+            }
+            return IFDSResults(facts_at, self.problem.zero)
 
     def _tabulate(self) -> None:
         for stmt, facts in self.problem.initial_seeds().items():

@@ -6,7 +6,8 @@ the process pool's task accounting and the result store's hit/latency
 figures all land here (the historical per-component ``stats`` dicts
 remain as compatibility views).  Three primitives cover all of them:
 
-- **counters** — monotonically increasing integers (``inc``);
+- **counters** — monotonically increasing totals (``inc``): integers,
+  save a time total such as ``gc.seconds``;
 - **gauges** — last-written level samples (``gauge``/``gauge_max``);
 - **histograms** — value distributions with exponential buckets,
   tracking count/sum/min/max (``observe``; latencies in seconds).
@@ -166,7 +167,7 @@ class MetricsRegistry:
         (the only merge that is independent of worker arrival order).
         """
         for name, value in snapshot.get("counters", {}).items():
-            self.inc(name, int(value))
+            self.inc(name, value)
         for name, value in snapshot.get("gauges", {}).items():
             self.gauge_max(name, float(value))
         for name, data in snapshot.get("histograms", {}).items():

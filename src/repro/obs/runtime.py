@@ -30,14 +30,22 @@ Cross-process flow (``repro.core.parallel`` workers and scheduler jobs):
 4. the parent folds it in with :func:`absorb_payload` — counters add,
    spans interleave on the shared monotonic timeline — so a ``-j 8``
    campaign still yields one registry and one coherent trace.
+
+Collector work is tallied per process by one ``gc.callbacks`` hook:
+collections per generation and seconds spent in them.
+:func:`write_outputs` and :func:`worker_payload` fold the tally into the
+registry as ``gc.collections.gen0``–``gen2`` and ``gc.seconds``, so a
+pooled batch's report sums its workers.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import sys
 import uuid
+from time import perf_counter
 from typing import Dict, List, Optional, TextIO
 
 from repro.obs.flight import FLIGHT_DIR_ENV, FlightRecorder
@@ -80,17 +88,55 @@ RUN_ID_ENV = "SPLLIFT_RUN_ID"
 TELEMETRY_ENV = "SPLLIFT_TELEMETRY"
 
 
+class _CollectorTally:
+    """Collector work in this process since the last fold."""
+
+    __slots__ = ("collections", "seconds", "began")
+
+    def __init__(self) -> None:
+        self.collections = [0, 0, 0]
+        self.seconds = 0.0
+        self.began = 0.0
+
+
 class _ObsState:
-    __slots__ = ("metrics", "tracer", "progress", "log")
+    __slots__ = ("metrics", "tracer", "progress", "log", "collector")
 
     def __init__(self) -> None:
         self.metrics = MetricsRegistry()
         self.tracer = Tracer(recording=False)
         self.progress: Optional[ProgressReporter] = None
         self.log: Optional[EventLog] = None
+        self.collector = _CollectorTally()
 
 
 _state = _ObsState()
+
+
+def _on_collection(phase: str, info: Dict[str, int]) -> None:
+    """The ``gc.callbacks`` hook.  A collection can start inside any
+    allocation, one inside the registry or the flight ring included, so
+    the hook only adds to the plain tally: no registry write, no ring
+    event, no lock."""
+    tally = _state.collector
+    if phase == "start":
+        tally.began = perf_counter()
+    else:
+        tally.collections[info["generation"]] += 1
+        tally.seconds += perf_counter() - tally.began
+
+
+gc.callbacks.append(_on_collection)
+
+
+def _fold_collector() -> None:
+    """Move the collector tally into the registry as ``gc.*`` counters
+    (all four, zeros included) and start a fresh tally."""
+    tally, _state.collector = _state.collector, _CollectorTally()
+    inc = _state.metrics.inc
+    for generation, count in enumerate(tally.collections):
+        inc(f"gc.collections.gen{generation}", count)
+    inc("gc.seconds", tally.seconds)
 
 
 # ----------------------------------------------------------------------
@@ -197,7 +243,7 @@ def set_progress(reporter: Optional[ProgressReporter]) -> None:
 
 def reset() -> None:
     """Fresh registry, flight ring and tracer (not recording), no
-    progress, no log (tests, scripts)."""
+    progress, no log, a zero collector tally (tests, scripts)."""
     _state.tracer.flight.close_spill()
     if _state.log is not None:
         _state.log.close()
@@ -205,6 +251,7 @@ def reset() -> None:
     _state.tracer = Tracer(recording=False)
     _state.progress = None
     _state.log = None
+    _state.collector = _CollectorTally()
 
 
 def flight_dump(
@@ -225,6 +272,7 @@ def write_outputs(
         count = write_trace(_state.tracer.events(), trace_path, run_id=run_id())
         print(f"trace: {count} event(s) written to {trace_path}", file=stream)
     if metrics_path:
+        _fold_collector()
         report = {
             "schema": "spllift-metrics/v1",
             "run_id": run_id(),
@@ -260,18 +308,19 @@ def publish_stats(prefix: str, stats: Dict[str, object]) -> None:
 def activate_worker() -> None:
     """Re-initialize telemetry inside a worker process.
 
-    Installs a fresh registry and a fresh tracer with its own ring,
-    bound to the worker's pid (a forked child inherits the parent's —
-    snapshotting those would double-count every merged counter and
-    replay the parent's events); the tracer records trace events when
-    ``$SPLLIFT_TELEMETRY`` is set.  With ``$SPLLIFT_FLIGHT_DIR`` set
-    (pool workers), the new ring spills to ``flight-<pid>.jsonl`` so the
-    parent can reconstruct this worker's last moments even after
-    SIGKILL.  With ``$SPLLIFT_LOG`` set, the worker appends to the
-    shared event log.
+    Installs a fresh registry, a zero collector tally and a fresh
+    tracer with its own ring, bound to the worker's pid (a forked child
+    inherits the parent's — snapshotting those would double-count every
+    merged counter and replay the parent's events); the tracer records
+    trace events when ``$SPLLIFT_TELEMETRY`` is set.  With
+    ``$SPLLIFT_FLIGHT_DIR`` set (pool workers), the new ring spills to
+    ``flight-<pid>.jsonl`` so the parent can reconstruct this worker's
+    last moments even after SIGKILL.  With ``$SPLLIFT_LOG`` set, the
+    worker appends to the shared event log.
     """
     _state.tracer.flight.close_spill()
     _state.metrics = MetricsRegistry()
+    _state.collector = _CollectorTally()
     _state.progress = None
     spill_dir = os.environ.get(FLIGHT_DIR_ENV)
     spill_path = (
@@ -290,8 +339,10 @@ def activate_worker() -> None:
 
 
 def worker_payload() -> Dict[str, object]:
-    """What a worker ships back beside its result: the metric snapshot
-    and (when tracing) its drained span buffer."""
+    """What a worker ships back beside its result: the metric snapshot,
+    collector work folded in, and (when tracing) its drained span
+    buffer."""
+    _fold_collector()
     return {
         "metrics": _state.metrics.snapshot(),
         "events": _state.tracer.drain(),

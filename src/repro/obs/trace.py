@@ -34,6 +34,7 @@ import time
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.obs.flight import FlightRecorder
+from repro.utils.files import read_utf8
 
 __all__ = [
     "Tracer",
@@ -200,23 +201,31 @@ def write_trace(
 
 
 def read_trace(path) -> List[dict]:
-    """Load a trace written by :func:`write_trace` (or plain JSONL)."""
-    with open(path) as handle:
-        text = handle.read()
+    """Load a trace written by :func:`write_trace` (or plain JSONL).
+
+    A file that is not UTF-8 text, or not a trace, raises ``ValueError``
+    with a one-line message that names it."""
+    text = read_utf8(path)
     try:
         data = json.loads(text)
+    except json.JSONDecodeError:
+        pass  # not one JSON document: read it as JSONL below
+    else:
         if isinstance(data, dict):  # {"traceEvents": [...]} object format,
             # or a single-event JSONL line (itself valid JSON)
             data = data.get("traceEvents", [data] if "ph" in data else [])
+        if not isinstance(data, list):
+            raise ValueError(f"{path} is not a valid trace file: no event list")
         return [event for event in data if isinstance(event, dict)]
-    except json.JSONDecodeError:
-        pass
     events = []
     for line in text.splitlines():
         line = line.strip().rstrip(",")
         if not line or line in ("[", "]"):
             continue
-        event = json.loads(line)
+        try:
+            event = json.loads(line)
+        except json.JSONDecodeError as error:
+            raise ValueError(f"{path} is not a valid trace file: {error}") from None
         if isinstance(event, dict):
             events.append(event)
     return events

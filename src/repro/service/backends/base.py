@@ -10,10 +10,12 @@ cross-cutting concerns so each backend only implements the raw
 ``_get``/``_put``/``_contains`` primitives:
 
 - **metrics** — every operation ticks the aggregate ``store.*`` counters
-  (``get_hits``/``get_misses``/``puts``) and feeds both the aggregate
-  latency histograms (``store.get_seconds``/``store.put_seconds``) and
-  the per-backend ones (``store.<kind>.get_seconds``/…), so a mixed
-  fleet's telemetry shows where the time goes per backend;
+  (``get_hits``/``get_misses``/``puts``; a ``get`` that names a schema
+  counts a record of another schema as a miss) and feeds both the
+  aggregate latency histograms (``store.get_seconds``/
+  ``store.put_seconds``) and the per-backend ones
+  (``store.<kind>.get_seconds``/…), so a mixed fleet's telemetry shows
+  where the time goes per backend;
 - **record validation** — ``put`` rejects records without a usable
   ``digest`` before the backend sees them, identically across backends;
 - **session accounting** — :meth:`session_stats` is the ``session``
@@ -55,8 +57,11 @@ class StoreBackend(Protocol):
     #: names and stats reports.
     kind: str
 
-    def get(self, digest: str) -> Optional[Dict[str, object]]:
-        """The stored record, or ``None`` on a miss (fail-open)."""
+    def get(
+        self, digest: str, schema: Optional[str] = None
+    ) -> Optional[Dict[str, object]]:
+        """The stored record, or ``None`` on a miss (fail-open); with
+        ``schema``, a record of another schema is a miss too."""
 
     def put(self, record: Dict[str, object]) -> object:
         """Persist a record under its own ``digest`` key."""
@@ -88,13 +93,19 @@ class InstrumentedStore:
     # Read side
     # ------------------------------------------------------------------
 
-    def get(self, digest: str) -> Optional[Dict[str, object]]:
+    def get(
+        self, digest: str, schema: Optional[str] = None
+    ) -> Optional[Dict[str, object]]:
         """The stored record, or ``None`` on a miss (including corrupt,
         mis-keyed, or unreachable records — a cache must fail open,
-        toward recomputing)."""
+        toward recomputing).  With ``schema``, a record of another
+        schema (an older version's) is a miss as well: the caller
+        recomputes it, so it counts as one."""
         t0 = time.perf_counter()
         record = self._get(digest)
         elapsed = time.perf_counter() - t0
+        if schema is not None and record is not None and record.get("schema") != schema:
+            record = None
         metrics = obs.metrics()
         metrics.observe("store.get_seconds", elapsed)
         metrics.observe(f"store.{self.kind}.get_seconds", elapsed)

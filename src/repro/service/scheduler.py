@@ -253,8 +253,12 @@ class BatchScheduler:
             # A record of another schema (an older ``spllift-result/v1``)
             # is a miss: the job runs again and its record replaces it.
             for index, job in enumerate(jobs):
-                record = self.store.get(job.digest) if self.store else None
-                if record is not None and record.get("schema") == RESULT_SCHEMA:
+                record = (
+                    self.store.get(job.digest, schema=RESULT_SCHEMA)
+                    if self.store
+                    else None
+                )
+                if record is not None:
                     outcomes[index] = JobOutcome(
                         job=job, status=CACHED, record=record, executor="store"
                     )

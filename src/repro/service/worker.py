@@ -46,6 +46,7 @@ from repro.obs import runtime as obs
 from repro.service.jobs import AnalysisJob, resolve_analysis
 from repro.service.store import RESULT_SCHEMA
 from repro.spl.product_line import ProductLine
+from repro.utils import collector
 
 __all__ = ["solve_product_line", "execute_job", "build_record", "expand_lines"]
 
@@ -80,42 +81,50 @@ def _engine_label(job: AnalysisJob) -> str:
 
 
 def execute_job(job: AnalysisJob) -> Dict[str, object]:
-    """Run one analysis job and return its store-ready record."""
-    engine = _engine_label(job)
-    # Before any work (and before the fault-injection hooks): a flight
-    # postmortem must be able to name the job a dead worker was running.
-    obs.flight().note_job(
-        {
-            "label": job.label,
-            "analysis": job.analysis,
-            "fm_mode": job.fm_mode,
-            "digest": job.digest,
-            "engine": engine,
-        }
-    )
-    obs.log_event(
-        "job.start",
-        label=job.label,
-        analysis=job.analysis,
-        digest=job.digest[:12],
-        engine=engine,
-    )
-    with obs.tracer().span(
-        "service/job",
-        label=job.label,
-        analysis=job.analysis,
-        digest=job.digest[:12],
-        run_id=obs.run_id(),
-    ):
-        record = _execute_job(job)
-    obs.log_event(
-        "job.done",
-        label=job.label,
-        digest=job.digest[:12],
-        facts=record.get("facts"),
-        solve_seconds=record.get("solve_seconds"),
-    )
-    return record
+    """Run one analysis job and return its store-ready record.
+
+    The whole job, parse to record, runs with the cyclic collector
+    paused (:mod:`repro.utils.collector`).  Its program lives in
+    :func:`_execute_job`'s frame, so it is garbage before the collector
+    comes back on, and the first young collection after the job
+    reclaims it.
+    """
+    with collector.paused():
+        engine = _engine_label(job)
+        # Before any work (and before the fault-injection hooks): a flight
+        # postmortem must be able to name the job a dead worker was running.
+        obs.flight().note_job(
+            {
+                "label": job.label,
+                "analysis": job.analysis,
+                "fm_mode": job.fm_mode,
+                "digest": job.digest,
+                "engine": engine,
+            }
+        )
+        obs.log_event(
+            "job.start",
+            label=job.label,
+            analysis=job.analysis,
+            digest=job.digest[:12],
+            engine=engine,
+        )
+        with obs.tracer().span(
+            "service/job",
+            label=job.label,
+            analysis=job.analysis,
+            digest=job.digest[:12],
+            run_id=obs.run_id(),
+        ):
+            record = _execute_job(job)
+        obs.log_event(
+            "job.done",
+            label=job.label,
+            digest=job.digest[:12],
+            facts=record.get("facts"),
+            solve_seconds=record.get("solve_seconds"),
+        )
+        return record
 
 
 def _execute_job(job: AnalysisJob) -> Dict[str, object]:

@@ -13,6 +13,7 @@ from repro.analyses import PAPER_ANALYSES, TypestateAnalysis
 from repro.constraints.dnf import DnfConstraintSystem
 from repro.core import SPLLift
 from repro.ide.summaries import SUMMARY_SCHEMA, summary_cache_for
+from repro.obs import runtime as obs
 from repro.service import ResultStore
 from repro.spl import gpl_mini
 from repro.spl.edits import EDIT_LOCAL, edited_product_line
@@ -121,6 +122,27 @@ class TestIsolationAndFailOpen:
         assert warm.result_digest() == cold.result_digest()
         assert warm.stats["summaries_invalidated"] >= 1
         assert warm.stats["summaries_reused"] > 0
+
+    def test_record_of_another_schema_is_a_store_miss(self, store):
+        """A summary record of another schema is never decoded, so the
+        store counts it as a miss, not a hit."""
+        analysis_cls = ANALYSIS_CLASSES[0]
+        cold = _solve(gpl_mini(), analysis_cls, store)
+        stored = [
+            record
+            for record in store.iter_records()
+            if record.get("schema") == SUMMARY_SCHEMA
+        ]
+        for record in stored:
+            store.put({**record, "schema": "spllift-summary/v0"})
+        obs.reset()
+        warm = _solve(gpl_mini(), analysis_cls, store)
+        assert warm.result_digest() == cold.result_digest()
+        metrics = obs.metrics()
+        assert metrics.counter_value("store.get_hits") == 0
+        assert metrics.counter_value("store.get_misses") == len(stored)
+        assert warm.stats["summaries_invalidated"] == len(stored)
+        assert store.stats()["session"]["hit_ratio"] == 0.0
 
     def test_typestate_protocol_keys_and_round_trips(self, store):
         """Typestate facts (protocol-parameterized) survive the summary

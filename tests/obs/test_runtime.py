@@ -1,10 +1,13 @@
 """Tests for the process-global obs runtime, the heartbeat and the
 compat stats view."""
 
+import gc
 import io
+import json
 import os
 
 from repro.analyses import TaintAnalysis, UninitializedVariablesAnalysis
+from repro.cli import main
 from repro.core import SPLLift
 from repro.ide import IDESolver
 from repro.ide.binary import ifds_as_ide
@@ -15,6 +18,8 @@ from repro.obs.progress import ProgressReporter
 from repro.obs.trace import Tracer
 from repro.spl import figure1, figure1_with_model
 from repro.spl.benchmarks import gpl_like
+from repro.spl.examples import FIGURE1_SOURCE
+from repro.utils import collector
 
 
 class TestRuntimeState:
@@ -81,6 +86,79 @@ class TestRuntimeState:
         ]
         obs.absorb_payload(None)  # tolerated: crashed worker, old protocol
         assert obs.metrics().counter_value("pool.tasks_completed") == 1
+
+
+class TestCollectorTally:
+    """One ``gc.callbacks`` hook tallies collector work per process;
+    ``write_outputs`` and ``worker_payload`` fold the tally into the
+    registry as four ``gc.*`` counters.  The tests zero the tally and
+    force collections with the collector paused, so no automatic one
+    adds to the count."""
+
+    KEYS = (
+        "gc.collections.gen0",
+        "gc.collections.gen1",
+        "gc.collections.gen2",
+        "gc.seconds",
+    )
+
+    @staticmethod
+    def _report(tmp_path):
+        path = tmp_path / "metrics.json"
+        obs.write_outputs(metrics_path=str(path), stream=io.StringIO())
+        return json.loads(path.read_text())["metrics"]["counters"]
+
+    def test_analyze_metrics_report_all_four_keys(self, tmp_path, capsys):
+        source = tmp_path / "fig1.mj"
+        source.write_text(FIGURE1_SOURCE)
+        path = tmp_path / "metrics.json"
+        main(["analyze", str(source), "--analysis", "taint", "--metrics", str(path)])
+        counters = json.loads(path.read_text())["metrics"]["counters"]
+        assert set(self.KEYS) <= set(counters)
+
+    def test_forced_collection_adds_one_gen2(self, tmp_path):
+        with collector.paused():
+            obs.reset()
+            gc.collect()
+            counters = self._report(tmp_path)
+        assert counters["gc.collections.gen2"] == 1
+        assert counters["gc.collections.gen0"] == 0
+        assert counters["gc.collections.gen1"] == 0
+        assert counters["gc.seconds"] > 0.0
+
+    def test_folding_twice_counts_once(self, tmp_path):
+        with collector.paused():
+            obs.reset()
+            gc.collect()
+            obs.worker_payload()
+            counters = self._report(tmp_path)
+        assert counters["gc.collections.gen2"] == 1
+
+    def test_parent_report_sums_its_workers(self, tmp_path):
+        with collector.paused():
+            obs.reset()  # the worker's fresh state
+            gc.collect()
+            payload = obs.worker_payload()
+            obs.reset()  # the parent's fresh state
+            obs.absorb_payload(payload)
+            gc.collect()
+            counters = self._report(tmp_path)
+        worker = payload["metrics"]["counters"]
+        assert worker["gc.collections.gen2"] == 1
+        assert counters["gc.collections.gen2"] == 2
+        assert counters["gc.seconds"] > worker["gc.seconds"] > 0.0
+
+    def test_reset_and_activate_worker_zero_the_tally(self, tmp_path):
+        with collector.paused():
+            gc.collect()
+            obs.reset()
+            after_reset = self._report(tmp_path)
+            gc.collect()
+            obs.activate_worker()
+            in_worker = self._report(tmp_path)
+        for counters in (after_reset, in_worker):
+            assert counters["gc.collections.gen2"] == 0
+            assert counters["gc.seconds"] == 0.0
 
 
 class TestHeartbeat:

@@ -70,6 +70,21 @@ class TestWarmPath:
         warm = run_batch([job], store=store, use_pool=False)
         assert warm.cached == 1
 
+    def test_record_of_another_schema_is_a_store_miss(self, tmp_path):
+        """The warm path asks the store for a ``RESULT_SCHEMA`` record;
+        one of another schema is a miss in the store's own counters."""
+        job = _job()
+        (fresh,) = run_batch([job], store=None, use_pool=False).outcomes
+        store = ResultStore(tmp_path / "store")
+        store.put({**fresh.record, "schema": "spllift-result/v1"})
+        obs.reset()
+        report = run_batch([job], store=store, use_pool=False)
+        assert (report.computed, report.cached) == (1, 0)
+        metrics = obs.metrics()
+        assert metrics.counter_value("store.get_hits") == 0
+        assert metrics.counter_value("store.get_misses") == 1
+        assert store.stats()["session"]["hit_ratio"] == 0.0
+
     def test_no_store_always_computes(self):
         for _ in range(2):
             report = run_batch([_job()], store=None, use_pool=False)

@@ -227,6 +227,20 @@ class TestTraceErrorContract:
         assert rc == 2
         assert err.startswith("spllift: error:")
 
+    def test_error_contract_on_non_utf8_file(self, tmp_path, capsys):
+        path = non_utf8_file(tmp_path)
+        assert main(["trace", "summary", path]) == 2
+        assert capsys.readouterr().err == not_utf8_error(path)
+
+    @pytest.mark.parametrize("text", ["5", '{"traceEvents": 3}'])
+    def test_json_that_holds_no_event_list(self, tmp_path, capsys, text):
+        path = tmp_path / "trace.json"
+        path.write_text(text)
+        assert main(["trace", "summary", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"spllift: error: {path} is not a valid trace file: no event list\n"
+        )
+
 
 class TestBatchObservability:
     def test_progress_line_on_stderr(self, crash_manifest, tmp_path, capsys):
