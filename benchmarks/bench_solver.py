@@ -7,6 +7,11 @@ Runs the rows whose counters ``spllift obs diff`` gates against
   semi-naive Datalog engine, whose rule/iteration/tuple counters are
   set-at-a-time and hence exact (gated at threshold 0, with the
   batch-order-dependent ``value_*`` counters ignored);
+- ``engine/tabulate/GPL-like/reaching_definitions`` — one default lifted
+  solve on the IDE tabulation engine.  Facts and handles hash without
+  object addresses, so its counters are the same in every process at a
+  fixed ``PYTHONHASHSEED`` (gated at threshold 0 with the seed pinned;
+  string hashes, and with them the work, still follow the seed);
 - ``micro/bdd_kernel/*`` — four BDD kernel workloads (a deep
   conjunction chain, unique-table churn, an apply storm, wide model
   counting) whose node/apply counters are gated at ±2%.
@@ -16,7 +21,7 @@ It writes their integer counters as one ``spllift-metrics/v1`` snapshot
 A/A spread, come from ``perfbench/run.py`` (see ``BENCHMARK.json``).
 Run it as::
 
-    PYTHONPATH=src python benchmarks/bench_solver.py --stats-out bench_stats.json
+    PYTHONHASHSEED=0 PYTHONPATH=src python benchmarks/bench_solver.py --stats-out bench_stats.json
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ import sys
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.analyses import PossibleTypesAnalysis
+from repro.analyses import PossibleTypesAnalysis, ReachingDefinitionsAnalysis
 from repro.bdd import BDDManager
 from repro.core import SPLLift
 from repro.spl.benchmarks import gpl_like
@@ -41,6 +46,15 @@ def run_datalog_possible_types() -> Dict[str, object]:
         PossibleTypesAnalysis(product_line.icfg),
         feature_model=product_line.feature_model,
     ).solve(engine="datalog").stats
+
+
+def run_tabulate_reaching_definitions() -> Dict[str, object]:
+    """One default lifted reaching-definitions solve of GPL-like."""
+    product_line = gpl_like()
+    return SPLLift(
+        ReachingDefinitionsAnalysis(product_line.icfg),
+        feature_model=product_line.feature_model,
+    ).solve().stats
 
 
 def run_deep_chain() -> Dict[str, object]:
@@ -139,6 +153,10 @@ def run_satcount_wide() -> Dict[str, object]:
 
 ROWS: Tuple[Tuple[str, Callable[[], Dict[str, object]]], ...] = (
     ("engine/datalog/GPL-like/possible_types", run_datalog_possible_types),
+    (
+        "engine/tabulate/GPL-like/reaching_definitions",
+        run_tabulate_reaching_definitions,
+    ),
     ("micro/bdd_kernel/deep_chain_5000", run_deep_chain),
     ("micro/bdd_kernel/unique_churn", run_unique_churn),
     ("micro/bdd_kernel/apply_storm", run_apply_storm),

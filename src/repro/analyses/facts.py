@@ -7,165 +7,128 @@ i.e. receiver objects are merged, matching the paper's treatment of field
 assignments "in a field-sensitive manner, abstracting from receiver
 objects through their context-insensitive points-to sets".
 
-Facts are immutable value objects with their hash computed once at
-construction: the solvers key path edges, jump tables and memo caches on
-(statement, fact) tuples, so fact hashing sits on the tabulation hot path.
+The solvers key path edges, jump tables and memo caches on (statement,
+fact) tuples, so fact hashing sits on the tabulation hot path.  Each fact
+is therefore a tagged tuple of strings — ``(class tag, *fields)`` — that
+tuple hashes and compares in C.  The tag makes two facts equal only if
+they have the same class and the same fields, and a hash built from
+strings alone does not depend on object addresses, so the order in which
+the solvers iterate facts (and with it their work counters) is the same
+in every process at a fixed ``PYTHONHASHSEED``.
 """
 
 from __future__ import annotations
+
+import sys
+from operator import itemgetter
 
 from repro.ir.instructions import Instruction
 
 __all__ = ["LocalFact", "FieldFact", "TypedLocal", "TypedField", "DefFact"]
 
 
-class LocalFact:
+class _Fact(tuple):
+    """A fact is the tuple ``(tag, *fields)``; subclasses add no slots."""
+
+    __slots__ = ()
+
+    def __getnewargs__(self) -> tuple:
+        # Copy and pickle rebuild a fact from its fields, not its tuple.
+        return self[1:]
+
+
+class LocalFact(_Fact):
     """A property (e.g. tainted, uninitialized) of one local variable."""
 
-    __slots__ = ("name", "_hash")
+    __slots__ = ()
 
-    def __init__(self, name: str) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "_hash", hash((LocalFact, name)))
+    def __new__(cls, name: str) -> "LocalFact":
+        return tuple.__new__(cls, ("local", name))
 
-    def __setattr__(self, key: str, value: object) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __eq__(self, other: object) -> bool:
-        if other is self:
-            return True
-        return isinstance(other, LocalFact) and other.name == self.name
-
-    def __hash__(self) -> int:
-        return self._hash
+    name = property(itemgetter(1))
 
     def __repr__(self) -> str:
-        return self.name
+        return self[1]
 
 
-class FieldFact:
+class FieldFact(_Fact):
     """A property of a field, merged over all receiver objects."""
 
-    __slots__ = ("class_name", "field_name", "_hash")
+    __slots__ = ()
 
-    def __init__(self, class_name: str, field_name: str) -> None:
-        object.__setattr__(self, "class_name", class_name)
-        object.__setattr__(self, "field_name", field_name)
-        object.__setattr__(
-            self, "_hash", hash((FieldFact, class_name, field_name))
-        )
+    def __new__(cls, class_name: str, field_name: str) -> "FieldFact":
+        return tuple.__new__(cls, ("field", class_name, field_name))
 
-    def __setattr__(self, key: str, value: object) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __eq__(self, other: object) -> bool:
-        if other is self:
-            return True
-        return (
-            isinstance(other, FieldFact)
-            and other.class_name == self.class_name
-            and other.field_name == self.field_name
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
+    class_name = property(itemgetter(1))
+    field_name = property(itemgetter(2))
 
     def __repr__(self) -> str:
-        return f"{self.class_name}.{self.field_name}"
+        return f"{self[1]}.{self[2]}"
 
 
-class TypedLocal:
+class TypedLocal(_Fact):
     """Possible-types fact: local ``name`` may refer to a ``class_name``."""
 
-    __slots__ = ("name", "class_name", "_hash")
+    __slots__ = ()
 
-    def __init__(self, name: str, class_name: str) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "class_name", class_name)
-        object.__setattr__(self, "_hash", hash((TypedLocal, name, class_name)))
+    def __new__(cls, name: str, class_name: str) -> "TypedLocal":
+        return tuple.__new__(cls, ("tlocal", name, class_name))
 
-    def __setattr__(self, key: str, value: object) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __eq__(self, other: object) -> bool:
-        if other is self:
-            return True
-        return (
-            isinstance(other, TypedLocal)
-            and other.name == self.name
-            and other.class_name == self.class_name
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
+    name = property(itemgetter(1))
+    class_name = property(itemgetter(2))
 
     def __repr__(self) -> str:
-        return f"{self.name}:{self.class_name}"
+        return f"{self[1]}:{self[2]}"
 
 
-class TypedField:
+class TypedField(_Fact):
     """Possible-types fact for a field (receivers merged)."""
 
-    __slots__ = ("declaring_class", "field_name", "class_name", "_hash")
+    __slots__ = ()
 
-    def __init__(
-        self, declaring_class: str, field_name: str, class_name: str
-    ) -> None:
-        object.__setattr__(self, "declaring_class", declaring_class)
-        object.__setattr__(self, "field_name", field_name)
-        object.__setattr__(self, "class_name", class_name)
-        object.__setattr__(
-            self,
-            "_hash",
-            hash((TypedField, declaring_class, field_name, class_name)),
+    def __new__(
+        cls, declaring_class: str, field_name: str, class_name: str
+    ) -> "TypedField":
+        return tuple.__new__(
+            cls, ("tfield", declaring_class, field_name, class_name)
         )
 
-    def __setattr__(self, key: str, value: object) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __eq__(self, other: object) -> bool:
-        if other is self:
-            return True
-        return (
-            isinstance(other, TypedField)
-            and other.declaring_class == self.declaring_class
-            and other.field_name == self.field_name
-            and other.class_name == self.class_name
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
+    declaring_class = property(itemgetter(1))
+    field_name = property(itemgetter(2))
+    class_name = property(itemgetter(3))
 
     def __repr__(self) -> str:
-        return f"{self.declaring_class}.{self.field_name}:{self.class_name}"
+        return f"{self[1]}.{self[2]}:{self[3]}"
 
 
-class DefFact:
+class DefFact(_Fact):
     """Reaching-definitions fact: ``name`` may hold the value assigned at
     ``site``.  The variable name is rebound as the definition crosses
-    parameter and return-value assignments."""
+    parameter and return-value assignments.
 
-    __slots__ = ("name", "site", "_hash")
+    The tuple holds the site's ``location`` (``Class.method:index``), not
+    the :class:`Instruction`, which hashes by identity; the instruction
+    itself is kept beside the tuple for the flows that read ``site``.
+    """
 
-    def __init__(self, name: str, site: Instruction) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "site", site)
-        object.__setattr__(self, "_hash", hash((DefFact, name, site)))
+    # No __slots__: a tuple subclass cannot add slots, so ``site`` lives
+    # in the instance dict.
 
-    def __setattr__(self, key: str, value: object) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
+    def __new__(cls, name: str, site: Instruction) -> "DefFact":
+        # Interned, so the facts of one site share one location string
+        # rather than each holding a copy.
+        fact = tuple.__new__(cls, ("def", name, sys.intern(site.location)))
+        fact._site = site
+        return fact
 
-    def __eq__(self, other: object) -> bool:
-        if other is self:
-            return True
-        return (
-            isinstance(other, DefFact)
-            and other.name == self.name
-            and other.site == self.site
-        )
+    def __getnewargs__(self) -> tuple:
+        return self[1], self._site
 
-    def __hash__(self) -> int:
-        return self._hash
+    name = property(itemgetter(1))
+
+    @property
+    def site(self) -> Instruction:
+        return self._site
 
     def __repr__(self) -> str:
-        return f"{self.name}@{self.site.location}"
+        return f"{self[1]}@{self[2]}"

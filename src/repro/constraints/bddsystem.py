@@ -26,7 +26,13 @@ __all__ = ["BddConstraint", "BddConstraintSystem"]
 
 
 class BddConstraint(Constraint):
-    """A feature constraint represented as a node in a shared BDD."""
+    """A feature constraint represented as a node in a shared BDD.
+
+    Handles are interned per system (:meth:`BddConstraintSystem._wrap`),
+    so equal constraints are the same object and equality and hashing
+    are the default identity ones, in C.  Make handles only through the
+    system, never by calling this class.
+    """
 
     __slots__ = ("_system", "_node")
 
@@ -70,16 +76,6 @@ class BddConstraint(Constraint):
     def model_count(self, over: Optional[Iterable[str]] = None) -> int:
         """Number of satisfying assignments over ``over``."""
         return self._system.manager.satcount(self._node, over)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, BddConstraint)
-            and other._system is self._system
-            and other._node == self._node
-        )
-
-    def __hash__(self) -> int:
-        return hash((id(self._system), self._node))
 
     def __repr__(self) -> str:
         return f"BddConstraint({self._system.manager.to_expr_string(self._node)})"

@@ -32,7 +32,12 @@ _ACTIVE_DELEGATIONS: Set[Tuple[str, int, int]] = set()
 
 
 class EdgeFunction(Generic[V]):
-    """A distributive function ``V -> V`` attached to an exploded-graph edge."""
+    """A distributive function ``V -> V`` attached to an exploded-graph edge.
+
+    Edge functions must be hashable: phase II of the IDE solver memoizes
+    ``compute_target`` keyed by the function.  Every edge function here
+    hashes by identity.
+    """
 
     #: True iff this function maps *every* value to the lattice top, i.e. the
     #: edge carries no flow.  The solver reads this flag (one attribute load)

@@ -226,13 +226,17 @@ class IDESolver(Generic[D, V]):
         # Entries currently enqueued; re-joining a pending entry must not
         # enqueue it twice — its single pop reads the latest joined function.
         self._pending: Set[Tuple[D, Instruction, D]] = set()
-        # (method, entry fact) -> {(exit stmt, exit fact)}
+        # The solver iterates the next two tables, so their values are
+        # insertion-ordered dicts (key -> None), not sets: a set of
+        # identity-hashed statements iterates in address order, which would
+        # make the work differ from one process to the next.
+        # (method, entry fact) -> {(exit stmt, exit fact): None}
         self._end_summaries: Dict[
-            Tuple[IRMethod, D], Set[Tuple[Instruction, D]]
+            Tuple[IRMethod, D], Dict[Tuple[Instruction, D], None]
         ] = {}
-        # (method, entry fact) -> {(call stmt, caller source fact, call fact)}
+        # (method, entry fact) -> {(call stmt, caller source, call fact): None}
         self._incoming: Dict[
-            Tuple[IRMethod, D], Set[Tuple[Instruction, D, D]]
+            Tuple[IRMethod, D], Dict[Tuple[Instruction, D, D], None]
         ] = {}
         self._all_top = problem.all_top()
         # Exploded-successor memos.  Flow functions and edge functions
@@ -537,7 +541,7 @@ class IDESolver(Generic[D, V]):
                     # callee's summaries apply on this very visit.
                     provider.ensure_context(self, callee, d3, start)
                 context = (callee, d3)
-                self._incoming.setdefault(context, set()).add((n, d1, d2))
+                self._incoming.setdefault(context, {})[(n, d1, d2)] = None
                 summaries = self._end_summaries.get(context)
                 if not summaries:
                     continue
@@ -618,9 +622,9 @@ class IDESolver(Generic[D, V]):
     ) -> None:
         method = self.icfg.method_of(n)
         context = (method, d1)
-        self._end_summaries.setdefault(context, set()).add((n, d2))
+        self._end_summaries.setdefault(context, {})[(n, d2)] = None
         for call, caller_source, call_fact in tuple(
-            self._incoming.get(context, set())
+            self._incoming.get(context, ())
         ):
             caller_fn = self._jump_fn(call, caller_source, call_fact)
             self._apply_summary(
@@ -650,7 +654,9 @@ class IDESolver(Generic[D, V]):
             nonlocal value_updates
             key = (stmt, fact)
             old = values.get(key, top)
-            joined = join_values(old, value)
+            # Top is the join's neutral element; a stored value never
+            # equals it, so only a missing key reads top.
+            joined = value if old is top else join_values(old, value)
             # Identity first: value systems interning their instances (the
             # BDD constraint system does) make the no-change case pointer
             # equality.
@@ -691,19 +697,25 @@ class IDESolver(Generic[D, V]):
                                 worklist.append((start, d3))
 
         # Phase II(ii): every remaining node via its jump function.  The
-        # two-level index looks up the start value once per source fact.
-        # Contributions from different source facts d1 targeting the same
-        # (stmt, d2) are merged with one n-ary join instead of a pairwise
-        # fold — at high-in-degree merge points this halves the traffic
-        # to the value lattice (ROADMAP "batch constraint joins").
+        # two-level index looks up the start value once per source fact,
+        # and since that value is fixed within a method, each jump function
+        # is evaluated once per source fact (flyweight edges recur across a
+        # method's statements).  Contributions from different source facts
+        # d1 targeting the same (stmt, d2) are merged with one n-ary join
+        # instead of a pairwise fold — at high-in-degree merge points this
+        # halves the traffic to the value lattice (ROADMAP "batch
+        # constraint joins").
         jump = self._jump
         batch_joins = 0
         with tracer.span("ide/phase2/ii"):
             for method in self.icfg.reachable_methods:
                 start = self.icfg.start_point_of(method)
                 # Start values looked up once per source fact per method, not
-                # once per (statement, source fact) pair.
+                # once per (statement, source fact) pair; targets_of memoizes
+                # each jump function's value at them (keyed by the function,
+                # so edge functions must be hashable).
                 start_values: Dict[D, V] = {}
+                targets_of: Dict[D, Dict[EdgeFunction[V], V]] = {}
                 for stmt in method.instructions:
                     if stmt is start:
                         continue
@@ -717,13 +729,18 @@ class IDESolver(Generic[D, V]):
                             start_value = start_values[d1] = values.get(
                                 (start, d1), top
                             )
+                            targets_of[d1] = {}
                         if start_value == top:
                             continue
+                        targets = targets_of[d1]
                         for d2, f in row.items():
+                            target = targets.get(f)
+                            if target is None:
+                                target = targets[f] = f.compute_target(start_value)
                             contributions = incoming.get(d2)
                             if contributions is None:
                                 contributions = incoming[d2] = []
-                            contributions.append(f.compute_target(start_value))
+                            contributions.append(target)
                     for d2, contributions in incoming.items():
                         if len(contributions) == 1:
                             set_value(stmt, d2, contributions[0])

@@ -40,7 +40,7 @@ summary records unmodified.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analyses.facts import (
     DefFact,
@@ -187,8 +187,11 @@ def summary_cache_for(spllift: object, store: object) -> "SummaryCache":
 # The cache
 # ----------------------------------------------------------------------
 
-#: Decoded record entry per context: (jump rows, end summaries).
-_Entry = Tuple[Tuple[Tuple[object, object, object], ...], FrozenSet]
+#: Decoded record entry per context: (jump rows, end summaries), both in
+#: record order.
+_Entry = Tuple[
+    Tuple[Tuple[object, object, object], ...], Tuple[Tuple[object, object], ...]
+]
 
 
 class SummaryCache:
@@ -308,7 +311,9 @@ class SummaryCache:
                 existing = row.get(d2)
                 row[d2] = fn if existing is None else existing.join_with(fn)
             if ends:
-                solver._end_summaries.setdefault(key, set()).update(ends)
+                solver._end_summaries.setdefault(key, {}).update(
+                    dict.fromkeys(ends)
+                )
             # Bind callee contexts: phase II needs the callees' rows too,
             # and _incoming must name this caller in case a callee record
             # is unusable and tabulates (its exit re-applies summaries
@@ -324,7 +329,7 @@ class SummaryCache:
                     ):
                         for d3 in entry_facts:
                             ckey = (callee, d3)
-                            incoming.setdefault(ckey, set()).add((call, d1, d2))
+                            incoming.setdefault(ckey, {})[(call, d1, d2)] = None
                             if ckey in self._seen:
                                 continue
                             centries = self._records.get(callee)
@@ -493,12 +498,11 @@ class SummaryCache:
                         rows.append(
                             (pick(instructions, stmt_idx), pick(facts, fact_ref), fn)
                         )
-                    ends = set()
-                    for stmt_idx, fact_ref in context["ends"]:
-                        ends.add(
-                            (pick(instructions, stmt_idx), pick(facts, fact_ref))
-                        )
-                    entries[d1] = (tuple(rows), frozenset(ends))
+                    ends = tuple(
+                        (pick(instructions, stmt_idx), pick(facts, fact_ref))
+                        for stmt_idx, fact_ref in context["ends"]
+                    )
+                    entries[d1] = (tuple(rows), ends)
                 except (SummaryCodecError, KeyError, TypeError, ValueError):
                     continue
             return entries or None

@@ -3,7 +3,10 @@
 Analyses implement the four flow-function classes of Section 2.2 of the
 paper — normal, call, return, and call-to-return — against the ICFG, plus
 initial seeds.  Facts can be anything hashable; the framework is oblivious
-to the abstraction (Section 2.1).
+to the abstraction (Section 2.1).  A fact's hash must not depend on object
+addresses: sets of facts iterate in hash order and the solvers' work
+follows that order, so an address in the hash makes the work differ from
+one process to the next.
 
 The same interface is consumed by three solvers:
 
@@ -29,20 +32,27 @@ __all__ = ["ZERO", "ZeroFact", "IFDSProblem"]
 D = TypeVar("D", bound=Hashable)
 
 
-class ZeroFact:
+class ZeroFact(tuple):
     """The special ``0`` fact: the tautology that unconditionally holds.
 
     Two nodes representing 0 at different statements are always connected
     (Section 2.1) — except in SPLLIFT, which conditionalizes 0-edges to
     compute reachability as a side effect (Section 3.3).
+
+    A singleton, and like the client facts a tagged tuple, ``("zero",)``,
+    so its hash is the same in every process.
     """
 
+    __slots__ = ()
     _instance: "ZeroFact" = None
 
     def __new__(cls) -> "ZeroFact":
         if cls._instance is None:
-            cls._instance = super().__new__(cls)
+            cls._instance = tuple.__new__(cls, ("zero",))
         return cls._instance
+
+    def __getnewargs__(self) -> tuple:
+        return ()
 
     def __repr__(self) -> str:
         return "0"

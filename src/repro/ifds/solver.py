@@ -113,9 +113,12 @@ class IFDSSolver(Generic[D]):
         self._path_edges: Dict[Instruction, Set[Tuple[D, D]]] = {}
         # fifo/lifo/random use a deque; rpo a bucket queue keyed by rank.
         self._worklist = BucketQueue() if self._use_heap else deque()
-        # (method, entry fact) -> summaries / incoming callers
-        self._end_summaries: Dict[Tuple[IRMethod, D], Set[_Summary]] = {}
-        self._incoming: Dict[Tuple[IRMethod, D], Set[_Incoming]] = {}
+        # (method, entry fact) -> summaries / incoming callers, as
+        # insertion-ordered dicts (key -> None): a set of identity-hashed
+        # statements iterates in address order, which would make the work
+        # differ from one process to the next.
+        self._end_summaries: Dict[Tuple[IRMethod, D], Dict[_Summary, None]] = {}
+        self._incoming: Dict[Tuple[IRMethod, D], Dict[_Incoming, None]] = {}
         # Exploded-successor memos: flow-function targets depend only on
         # (statement, fact), never on the path's source fact d1, so they
         # are computed once per (n, d2) and replayed for every other d1.
@@ -296,7 +299,7 @@ class IFDSSolver(Generic[D]):
             for d3 in entry_facts:
                 self._propagate(d3, start, d3)
                 context = (callee, d3)
-                self._incoming.setdefault(context, set()).add((n, d1, d2))
+                self._incoming.setdefault(context, {})[(n, d1, d2)] = None
                 for exit_stmt, d4 in self._end_summaries.get(context, ()):
                     self._apply_summary(
                         n, d1, callee, exit_stmt, d4, return_sites
@@ -353,13 +356,13 @@ class IFDSSolver(Generic[D]):
     def _process_exit(self, d1: D, n: Instruction, d2: D) -> None:
         method = self.icfg.method_of(n)
         context = (method, d1)
-        summaries = self._end_summaries.setdefault(context, set())
+        summaries = self._end_summaries.setdefault(context, {})
         summary = (n, d2)
         if summary in summaries:
             return
-        summaries.add(summary)
+        summaries[summary] = None
         self.stats["summaries"] += 1
-        for call, caller_source, _caller_fact in self._incoming.get(context, set()):
+        for call, caller_source, _caller_fact in self._incoming.get(context, ()):
             self._apply_summary(
                 call,
                 caller_source,

@@ -22,9 +22,9 @@ class IRError(ValueError):
     """Raised for malformed IR (unknown classes, unresolvable methods)."""
 
 
-@dataclass
+@dataclass(eq=False)
 class IRMethod:
-    """One lowered method body.
+    """One lowered method body; compares and hashes by identity.
 
     ``params`` excludes the implicit ``this`` receiver, which is always the
     local named ``"this"``.  ``source_locals`` are the locals that appear in
@@ -84,12 +84,6 @@ class IRMethod:
             lines.append(f"  {instruction.index:3}: {instruction}")
         lines.append("}")
         return "\n".join(lines)
-
-    def __hash__(self) -> int:
-        return hash(id(self))
-
-    def __eq__(self, other: object) -> bool:
-        return self is other
 
 
 @dataclass

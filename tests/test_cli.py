@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +15,7 @@ from repro.cli import main
 from repro.featuremodel import render_feature_model
 from repro.obs.flight import FlightRecorder
 from repro.spl.benchmarks import gpl_like
+from repro.spl.edits import apply_scripted_edit
 from repro.spl.examples import FIGURE1_SOURCE
 
 FM_TEXT = """
@@ -157,29 +160,107 @@ class TestAnalyze:
         assert capsys.readouterr() == sequential
 
 
+@pytest.fixture
+def gpl_files(tmp_path):
+    """GPL-like's source and canonical feature model, as files."""
+    product_line = gpl_like()
+    source = tmp_path / "gpl.mj"
+    source.write_text(product_line.source)
+    model = tmp_path / "gpl.fm"
+    model.write_text(render_feature_model(product_line.feature_model))
+    return source, model
+
+
+def _spllift_process(args, hash_seed):
+    """Run ``spllift ARGS`` in a fresh interpreter at ``PYTHONHASHSEED``."""
+    src_root = str(Path(repro.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src_root)
+    return subprocess.run(
+        [sys.executable, "-m", "repro.cli", *args],
+        capture_output=True,
+        env=env,
+        timeout=120,
+    )
+
+
 class TestAnalyzeOutputOrder:
     @pytest.mark.parametrize("analysis", ("types", "rd"))
-    def test_stdout_independent_of_hash_seed(self, tmp_path, analysis):
+    def test_stdout_independent_of_hash_seed(self, gpl_files, analysis):
         """The informational analyses list every fact at method exits;
         the listing must not follow set iteration order, which
         PYTHONHASHSEED permutes from one process to the next."""
-        product_line = gpl_like()
-        source = tmp_path / "gpl.mj"
-        source.write_text(product_line.source)
-        model = tmp_path / "gpl.fm"
-        model.write_text(render_feature_model(product_line.feature_model))
-        src_root = str(Path(repro.__file__).resolve().parent.parent)
-        argv = [
-            sys.executable, "-m", "repro.cli", "analyze", str(source),
-            "--feature-model", str(model), "--analysis", analysis,
+        source, model = gpl_files
+        args = [
+            "analyze", str(source), "--feature-model", str(model),
+            "--analysis", analysis,
         ]
         stdouts = []
         for seed in ("0", "1"):
-            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src_root)
-            done = subprocess.run(argv, capture_output=True, env=env, timeout=120)
+            done = _spllift_process(args, seed)
             assert done.returncode == 1, done.stderr.decode()
             stdouts.append(done.stdout)
         assert stdouts[0] == stdouts[1]
+
+
+class TestExactCounters:
+    """At one hash seed the solver does the same work in every process.
+
+    Facts, constraints and methods hash without object addresses, and
+    the solvers iterate insertion-ordered tables, so every counter of the
+    ``--stats`` block repeats exactly.  Across hash seeds it need not:
+    string hashes, and with them the order of fact sets, follow the seed.
+    """
+
+    @staticmethod
+    def _stats_block(done) -> bytes:
+        assert done.returncode == 1, done.stderr.decode()
+        _, marker, block = done.stdout.partition(b"\nsolver statistics:\n")
+        assert marker and block
+        return block
+
+    @pytest.mark.parametrize("analysis", ("types", "rd"))
+    def test_cold_stats_identical_across_processes(self, gpl_files, analysis):
+        source, model = gpl_files
+        args = [
+            "analyze", str(source), "--feature-model", str(model),
+            "--analysis", analysis, "--stats",
+        ]
+        blocks = {self._stats_block(_spllift_process(args, "0")) for _ in range(3)}
+        assert len(blocks) == 1
+
+    def test_warm_incremental_stats_identical_across_processes(
+        self, gpl_files, tmp_path
+    ):
+        source, model = gpl_files
+        populated = tmp_path / "populated"
+        cold = _spllift_process(
+            [
+                "analyze", str(source), "--feature-model", str(model),
+                "--analysis", "rd", "--incremental-cache", str(populated),
+            ],
+            "0",
+        )
+        assert cold.returncode == 1, cold.stderr.decode()
+        edited = tmp_path / "edited.mj"
+        edited.write_text(apply_scripted_edit(source.read_text(), "C4.c4_m2"))
+        blocks = set()
+        for run in range(3):
+            # Each warm re-solve stores its fresh summaries back, so each
+            # starts from its own copy of the populated store.
+            store = tmp_path / f"store{run}"
+            shutil.copytree(populated, store)
+            done = _spllift_process(
+                [
+                    "analyze", str(edited), "--feature-model", str(model),
+                    "--analysis", "rd", "--incremental-cache", str(store),
+                    "--stats",
+                ],
+                "0",
+            )
+            reused = re.search(rb"summaries: (\d+) reused", done.stderr)
+            assert reused and int(reused.group(1)) > 0, done.stderr.decode()
+            blocks.add(self._stats_block(done))
+        assert len(blocks) == 1
 
 
 class TestClosedStdout:
