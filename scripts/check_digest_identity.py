@@ -3,9 +3,9 @@
 
 Solves all 12 paper subject x analysis combinations once per worklist
 order and asserts the canonical ``result_digest`` is bit-identical across
-orders.  This is the regression gate behind the RPO scheduler: iteration
-order may change how much work the IDE solver does, never what it
-computes.
+orders.  This is the regression gate behind ``repro.ifds.worklist``:
+iteration order may change how much work the IDE solver does, never what
+it computes.
 
 Usage::
 
@@ -34,10 +34,11 @@ computed result digests match the direct-solve reference and (b) a
 second run is served 100% from each store with identical digests — the
 gate behind ``repro.service.backends``: where a result is stored must
 never change what it says.  ``--incremental`` gates the incremental
-solve path (``repro.ide.summaries``): per subject, populate a summary
-store, apply a scripted one-method edit, and require the warm re-solve
-bit-identical to a cold solve of the edited subject with a reuse ratio
-of at least 0.8.  ``--baseline`` compares the first order's
+solve path (``repro.ide.summaries``) once per ``--orders`` entry: per
+subject, populate a summary store, apply a scripted one-method edit, and
+require the warm re-solve bit-identical to a cold solve of the edited
+subject with a reuse ratio of at least 0.8, every solve under that
+order.  ``--baseline`` compares the first order's
 digests against a saved snapshot (written by ``--dump``), catching
 semantic drift between revisions, not just between orders.
 """
@@ -54,7 +55,7 @@ from pathlib import Path
 
 from repro.analyses import PAPER_ANALYSES
 from repro.core import SPLLift
-from repro.ide.solver import WORKLIST_ORDERS
+from repro.ifds.worklist import WORKLIST_ORDERS
 from repro.obs import runtime as obs
 from repro.obs.log import iter_log
 from repro.obs.progress import ProgressReporter
@@ -84,11 +85,11 @@ def compute_digests(order: str, seed: int, engine: str = None) -> dict:
     return digests
 
 
-def check_incremental(reference: dict, seed: int) -> int:
-    """Gate the incremental solve path; count mismatches.
+def check_incremental(reference: dict, order: str, seed: int) -> int:
+    """Gate the incremental solve path under ``order``; count mismatches.
 
     For each of the 12 subject × analysis combinations, against a
-    per-subject sqlite summary store:
+    per-subject sqlite summary store, every solve under ``order``:
 
     1. a *populate* solve of the pristine subject with the summary cache
        armed — its digest must equal the cold reference (arming the
@@ -120,22 +121,26 @@ def check_incremental(reference: dict, seed: int) -> int:
 
                 populate = lift(builder())
                 populated = populate.solve(
+                    worklist_order=order,
                     order_seed=seed,
                     summaries=summary_cache_for(populate, store),
                 ).result_digest()
                 if populated != reference[key]:
                     failures += 1
                     print(
-                        f"INCREMENTAL POPULATE MISMATCH {key}: "
+                        f"INCREMENTAL POPULATE MISMATCH {key} ({order}): "
                         f"{populated[:16]}… vs {reference[key][:16]}…"
                     )
 
                 edited, target, dirty = edited_product_line(builder())
-                cold = lift(edited).solve(order_seed=seed).result_digest()
+                cold = lift(edited).solve(
+                    worklist_order=order, order_seed=seed
+                ).result_digest()
 
                 edited_again, _, _ = edited_product_line(builder())
                 warm_solver = lift(edited_again)
                 warm = warm_solver.solve(
+                    worklist_order=order,
                     order_seed=seed,
                     summaries=summary_cache_for(warm_solver, store),
                 )
@@ -146,21 +151,24 @@ def check_incremental(reference: dict, seed: int) -> int:
                 if warm.result_digest() != cold:
                     failures += 1
                     print(
-                        f"INCREMENTAL MISMATCH {key} (edit {target}): "
+                        f"INCREMENTAL MISMATCH {key} ({order}, edit {target}): "
                         f"warm={warm.result_digest()[:16]}… cold={cold[:16]}…"
                     )
                 if reused == 0:
                     failures += 1
-                    print(f"INCREMENTAL NO REUSE {key} (edit {target})")
+                    print(
+                        f"INCREMENTAL NO REUSE {key} ({order}, edit {target})"
+                    )
                 if ratio < 0.8:
                     failures += 1
                     print(
-                        f"INCREMENTAL LOW REUSE {key} (edit {target}): "
+                        f"INCREMENTAL LOW REUSE {key} "
+                        f"({order}, edit {target}): "
                         f"{reused} reused / {recomputed} recomputed "
                         f"= {ratio:.2f} < 0.8"
                     )
     print(
-        f"{rows} digests cold vs incremental (1-method edit): "
+        f"{rows} digests cold vs incremental (1-method edit, {order}): "
         + ("all identical" if not failures else f"{failures} failures")
     )
     return failures
@@ -378,10 +386,10 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--incremental",
         action="store_true",
-        help="also gate the incremental solve path: populate a summary "
-        "store, edit one method per subject, and require the warm "
-        "re-solve bit-identical to a cold solve of the edited subject "
-        "with reuse ratio >= 0.8",
+        help="also gate the incremental solve path once per order: "
+        "populate a summary store, edit one method per subject, and "
+        "require the warm re-solve bit-identical to a cold solve of the "
+        "edited subject with reuse ratio >= 0.8",
     )
     parser.add_argument(
         "--baseline",
@@ -469,7 +477,8 @@ def main(argv=None) -> int:
         failures += check_backends(reference)
 
     if args.incremental:
-        failures += check_incremental(reference, args.seed)
+        for order in args.orders:
+            failures += check_incremental(reference, order, args.seed)
 
     if args.baseline:
         saved = json.load(open(args.baseline))

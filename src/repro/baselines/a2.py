@@ -125,6 +125,12 @@ def measure_a2(
 ) -> Tuple[float, Dict[str, int]]:
     """Time one A2 run; returns ``(seconds, solver_stats)``.
 
+    The one A2 timing protocol: Table 2's campaign, Table 3's A2
+    averages, the scaling anchors and the qualitative full-configuration
+    run all time A2 here.  The timed region is the solve alone;
+    building the :class:`A2Problem` (a scan of every reachable
+    statement's annotation) happens before the clock starts.
+
     Module-level (not a closure) so the experiment harness can fan
     configurations over :class:`repro.core.parallel.ProcessTaskPool`
     worker processes — the campaign's unit of parallelism is one

@@ -38,7 +38,17 @@ True
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.bdd.tables import FALSE, TRUE, TERMINAL_LEVEL, NodeStore
 
@@ -48,14 +58,6 @@ __all__ = ["BDDManager", "BDDError"]
 class BDDError(Exception):
     """Raised for invalid BDD operations (unknown variables, foreign nodes)."""
 
-
-# Backwards-compatible alias; the canonical definition lives in tables.py.
-_TERMINAL_LEVEL = TERMINAL_LEVEL
-
-# Integer opcodes for the apply dispatch (`_reduce_balanced` and friends).
-_OP_AND = 0
-_OP_OR = 1
-_OP_XOR = 2
 
 # Soft per-opcode computed-table capacity.  The apply/restrict caches are
 # lossy: when one crosses this many entries at kernel entry it is flushed
@@ -749,43 +751,6 @@ class BDDManager:
                     continue
                 key, level, r0 = frame[0], frame[1], low_r
 
-    def _apply(self, opcode: int, f: int, g: int) -> int:
-        """Opcode-dispatched apply for pre-checked operands.
-
-        Internal callers (balanced reductions) come through here; the
-        terminal rules mirror the public wrappers so accounting and
-        results are identical either way.
-        """
-        if g < f:
-            f, g = g, f
-        if opcode == _OP_AND:
-            if f == FALSE:
-                return FALSE
-            if f == TRUE or f == g:
-                return g if f == TRUE else f
-            cache = self._and_cache
-            kernel = self._apply_and
-        elif opcode == _OP_OR:
-            if f == TRUE:
-                return TRUE
-            if f == FALSE or f == g:
-                return g if f == FALSE else f
-            cache = self._or_cache
-            kernel = self._apply_or
-        else:
-            if f == g:
-                return FALSE
-            if f == FALSE:
-                return g
-            cache = self._xor_cache
-            kernel = self._apply_xor
-        self._apply_calls += 1
-        res = cache.get((f << self._store.shift) | g)
-        if res is not None:
-            self._apply_hits += 1
-            return res
-        return kernel(f, g)
-
     def implies(self, f: int, g: int) -> int:
         """Implication ``f -> g`` as ``not f or g``."""
         return self.or_(self.not_(f), g)
@@ -805,17 +770,21 @@ class BDDManager:
         is identical to a left fold, but wide conjunctions (e.g. thousands of
         variables) cost O(n log n) apply pairs instead of O(n^2).
         """
-        return self._reduce_balanced(list(nodes), _OP_AND, TRUE, FALSE)
+        return self._reduce_balanced(list(nodes), self.and_, TRUE, FALSE)
 
     def or_all(self, nodes: Iterable[int]) -> int:
         """Disjunction of all ``nodes`` (``false`` if empty).
 
         Balanced-tree reduction; see :meth:`and_all`.
         """
-        return self._reduce_balanced(list(nodes), _OP_OR, FALSE, TRUE)
+        return self._reduce_balanced(list(nodes), self.or_, FALSE, TRUE)
 
     def _reduce_balanced(
-        self, pending: List[int], opcode: int, unit: int, absorbing: int
+        self,
+        pending: List[int],
+        apply: Callable[[int, int], int],
+        unit: int,
+        absorbing: int,
     ) -> int:
         if not pending:
             return unit
@@ -829,7 +798,7 @@ class BDDManager:
                 if b is None:
                     paired.append(a)
                     break
-                res = self._apply(opcode, a, b)
+                res = apply(a, b)
                 if res == absorbing:
                     return absorbing
                 paired.append(res)
@@ -1097,10 +1066,10 @@ class BDDManager:
         # If `over` is not in manager order, sort it internally but emit
         # dicts keyed by all names anyway; dict key order does not affect
         # semantics.
-        levels = [self._var_level.get(n, _TERMINAL_LEVEL) for n in names]
+        levels = [self._var_level.get(n, TERMINAL_LEVEL) for n in names]
         if levels != sorted(levels):
             ordered = tuple(
-                sorted(names, key=lambda n: self._var_level.get(n, _TERMINAL_LEVEL))
+                sorted(names, key=lambda n: self._var_level.get(n, TERMINAL_LEVEL))
             )
             for model in self._iter_models_ordered(node, ordered):
                 yield {name: model[name] for name in names}
@@ -1132,7 +1101,7 @@ class BDDManager:
                     yield dict(partial)
                 continue
             name = names[index]
-            level = var_level.get(name, _TERMINAL_LEVEL)
+            level = var_level.get(name, TERMINAL_LEVEL)
             at_this_var = current > TRUE and level_[current] == level
             # Push the True branch first so False pops (and yields) first.
             for value in (True, False):

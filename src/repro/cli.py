@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sqlite3
 import sys
@@ -46,8 +47,8 @@ from typing import List, Optional, Sequence, Tuple
 from repro.core import compute_emergent_interface
 from repro.core.solver import SPLLiftResults
 from repro.datalog import resolve_engine
-from repro.ide.solver import WORKLIST_ORDERS
 from repro.featuremodel import FeatureModel, FeatureModelError, parse_feature_model
+from repro.ifds.worklist import WORKLIST_ORDERS
 from repro.interp import Interpreter
 from repro.ir.lowering import LoweringError
 from repro.ir.program import IRError
@@ -160,8 +161,8 @@ def _findings(
     engine: Optional[str] = None,
 ) -> Tuple[List[Tuple[str, str, str]], SPLLiftResults]:
     # Engine validation happens here (not via argparse choices) so a bad
-    # value — from the flag or $SPLLIFT_ENGINE — follows the clean-error
-    # contract: one `spllift: error: …` line, exit 2, no traceback.
+    # value follows the clean-error contract: one `spllift: error: …`
+    # line, exit 2, no traceback.
     try:
         engine = resolve_engine(engine)
     except ValueError as error:
@@ -297,7 +298,25 @@ def _batch_store(args):
     return open_store(getattr(args, "cache_dir", None))
 
 
+def _check_batch_limits(args) -> None:
+    """Reject worker, timeout and retry values no batch can run with."""
+    if args.jobs is not None and args.jobs < 0:
+        raise ServiceError(
+            f"--jobs must be >= 0 (0: one worker per CPU), got {args.jobs}"
+        )
+    if args.timeout is not None and not (
+        math.isfinite(args.timeout) and args.timeout > 0
+    ):
+        raise ServiceError(
+            f"--timeout must be a positive number of seconds, "
+            f"got {args.timeout:g}"
+        )
+    if args.retries < 0:
+        raise ServiceError(f"--retries must be >= 0, got {args.retries}")
+
+
 def _cmd_batch(args) -> int:
+    _check_batch_limits(args)
     plan = load_manifest_plan(args.manifest)
     report = run_batch(
         plan.jobs,
@@ -393,6 +412,8 @@ def _store_location(store) -> str:
 
 
 def _cmd_serve(args) -> int:
+    if not 0 <= args.port <= 65535:
+        raise ServiceError(f"--port must be in 0..65535, got {args.port}")
     spec = args.cache_dir
     if spec and str(spec).startswith(("http://", "https://")):
         raise ServiceError(
@@ -610,7 +631,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=WORKLIST_ORDERS,
         default=None,
         help="solver worklist scheduling; the fixed point is "
-        "order-independent (default: fifo, or $SPLLIFT_WORKLIST_ORDER)",
+        "order-independent (default: fifo)",
     )
     analyze.add_argument(
         "--engine",
@@ -618,8 +639,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="ENGINE",
         help="evaluation engine: 'tabulate' (two-phase IDE tabulation, "
         "the default) or 'datalog' (semi-naive lifted-Datalog fixpoint; "
-        "bit-identical results, no --incremental-cache); "
-        "default: $SPLLIFT_ENGINE, else tabulate",
+        "bit-identical results, no --incremental-cache)",
     )
     analyze.add_argument(
         "--incremental-cache",
@@ -673,7 +693,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip the result store (always solve)",
     )
     batch.add_argument(
-        "--jobs", type=int, help="worker processes (default: CPU count)"
+        "--jobs",
+        type=int,
+        help="worker processes (default, or 0: one per CPU)",
     )
     batch.add_argument(
         "--timeout", type=float, help="per-job timeout in seconds"

@@ -61,30 +61,26 @@ class ConstraintEdge(EdgeFunction[Constraint]):
     and join disjoins the constants — and equality is constant time thanks
     to the canonical BDD representation.
 
-    Edges created through an :class:`EdgeFunctionTable` are *flyweights*:
-    one unique instance per distinct constraint, so semantic equality
-    degenerates to ``a is b`` and compose/join results are memoized.
-    Directly constructed edges (no table) keep the original allocating
-    behaviour — the table is an optimization, not a semantic change.
+    Every edge is a *flyweight* of its :class:`EdgeFunctionTable`: one
+    unique instance per distinct constraint (build them with
+    :meth:`EdgeFunctionTable.edge`), so semantic equality degenerates to
+    ``a is b``, and compose/join results are memoized and interned into
+    the same table.
     """
 
     __slots__ = ("constraint", "_table", "is_top", "_memo_compose", "_memo_join")
 
-    def __init__(
-        self, constraint: Constraint, _table: "EdgeFunctionTable" = None
-    ) -> None:
+    def __init__(self, constraint: Constraint, table: "EdgeFunctionTable") -> None:
         self.constraint = constraint
-        self._table = _table
+        self._table = table
         # λc. c ∧ false maps everything to top ("no flow"): precomputing the
         # flag lets the solver drop such edges with one attribute load.
         self.is_top = constraint.is_false
         # Per-edge memo tables keyed on the *other* interned operand
         # (identity hash — interning makes instances unique per constraint).
-        # One dict probe replaces the old table-level id-pair keys, and both
-        # operands record the result so the commutative mirror still hits.
-        if _table is not None:
-            self._memo_compose: Dict["ConstraintEdge", "ConstraintEdge"] = {}
-            self._memo_join: Dict["ConstraintEdge", "ConstraintEdge"] = {}
+        # Both operands record the result so the commutative mirror hits.
+        self._memo_compose: Dict["ConstraintEdge", "ConstraintEdge"] = {}
+        self._memo_join: Dict["ConstraintEdge", "ConstraintEdge"] = {}
 
     def compute_target(self, source: Constraint) -> Constraint:
         return source & self.constraint
@@ -92,18 +88,16 @@ class ConstraintEdge(EdgeFunction[Constraint]):
     def compose_with(self, second: EdgeFunction[Constraint]) -> EdgeFunction[Constraint]:
         if isinstance(second, ConstraintEdge):
             table = self._table
-            if table is not None and second._table is table:
-                memo = self._memo_compose
-                cached = memo.get(second)
-                if cached is not None:
-                    table.compose_hits += 1
-                    return cached
-                table.compose_misses += 1
-                result = table.edge(self.constraint & second.constraint)
-                memo[second] = result
-                second._memo_compose[self] = result
-                return result
-            return ConstraintEdge(self.constraint & second.constraint)
+            memo = self._memo_compose
+            cached = memo.get(second)
+            if cached is not None:
+                table.compose_hits += 1
+                return cached
+            table.compose_misses += 1
+            result = table.edge(self.constraint & second.constraint)
+            memo[second] = result
+            second._memo_compose[self] = result
+            return result
         if isinstance(second, AllTop):
             return second
         raise TypeError(f"cannot compose ConstraintEdge with {second!r}")
@@ -113,29 +107,22 @@ class ConstraintEdge(EdgeFunction[Constraint]):
             return self
         if isinstance(other, ConstraintEdge):
             table = self._table
-            if table is not None and other._table is table:
-                memo = self._memo_join
-                cached = memo.get(other)
-                if cached is not None:
-                    table.join_hits += 1
-                    return cached
-                table.join_misses += 1
-                result = table.edge(self.constraint | other.constraint)
-                memo[other] = result
-                other._memo_join[self] = result
-                return result
-            return ConstraintEdge(self.constraint | other.constraint)
+            memo = self._memo_join
+            cached = memo.get(other)
+            if cached is not None:
+                table.join_hits += 1
+                return cached
+            table.join_misses += 1
+            result = table.edge(self.constraint | other.constraint)
+            memo[other] = result
+            other._memo_join[self] = result
+            return result
         if isinstance(other, AllTop):
             return self
         raise TypeError(f"cannot join ConstraintEdge with {other!r}")
 
     def equal_to(self, other: EdgeFunction[Constraint]) -> bool:
-        if other is self:
-            return True
         if isinstance(other, ConstraintEdge):
-            if self._table is not None and other._table is self._table:
-                # Flyweights: distinct instances mean distinct constraints.
-                return False
             return other.constraint == self.constraint
         if isinstance(other, AllTop):
             return self.constraint.is_false
@@ -146,21 +133,19 @@ class ConstraintEdge(EdgeFunction[Constraint]):
 
 
 class EdgeFunctionTable:
-    """Per-problem flyweight intern table and memoized constraint algebra.
+    """Per-problem flyweight intern table for :class:`ConstraintEdge`.
 
     The paper attributes SPLLIFT's constant factors to cheap canonical
     constraint operations (Section 5): equality and ``is false`` are
     constant time on BDDs, and conjunction/disjunction are memoized.  This
     table provides the same dividends at the edge-function level:
-
-    - :meth:`edge` interns one unique :class:`ConstraintEdge` per distinct
-      constraint, so the solver's fixed-point check is ``a is b``;
-    - :meth:`compose`/:meth:`join` memoize results keyed on the operand
-      *identities* (valid precisely because operands are interned), with
-      commutative-key normalization — ``A ∧ B`` and ``B ∧ A`` share one
-      entry.  Underneath, the constraint operation itself still hits the
-      BDD manager's apply cache; this cache avoids even that descent plus
-      the re-wrapping on repeat compositions along hot paths.
+    :meth:`edge` interns one unique edge per distinct constraint, so the
+    solver's fixed-point check is ``a is b``, and each edge memoizes its
+    compose/join results keyed on the other operand's identity (valid
+    precisely because operands are interned).  Underneath, the
+    constraint operation itself still hits the BDD manager's apply cache;
+    the memo avoids even that descent plus the re-wrapping on repeat
+    compositions along hot paths.
 
     Hit/miss counters are exported into ``IDESolver.stats`` via
     :meth:`LiftedProblem.edge_cache_stats`.
@@ -183,43 +168,23 @@ class EdgeFunctionTable:
         self.join_hits = 0
         self.join_misses = 0
 
-    @property
-    def stats(self) -> Dict[str, int]:
-        """Cache counters in the legacy dict shape."""
+    def edge(self, constraint: Constraint) -> ConstraintEdge:
+        """The unique interned edge function ``λc. c ∧ constraint``."""
+        interned = self._edges.get(constraint)
+        if interned is None:
+            interned = ConstraintEdge(constraint, self)
+            self._edges[constraint] = interned
+        return interned
+
+    def cache_stats(self) -> Dict[str, int]:
+        """Counters in the shape ``IDESolver.stats`` reports them."""
         return {
             "compose_cache_hits": self.compose_hits,
             "compose_cache_misses": self.compose_misses,
             "join_cache_hits": self.join_hits,
             "join_cache_misses": self.join_misses,
+            "interned_edges": len(self._edges),
         }
-
-    def edge(self, constraint: Constraint) -> ConstraintEdge:
-        """The unique interned edge function ``λc. c ∧ constraint``."""
-        interned = self._edges.get(constraint)
-        if interned is None:
-            interned = ConstraintEdge(constraint, _table=self)
-            self._edges[constraint] = interned
-        return interned
-
-    @property
-    def interned_count(self) -> int:
-        return len(self._edges)
-
-    # Both operations are commutative; each interned edge carries its own
-    # memo dict keyed on the other operand (identity hash), and results are
-    # recorded under both operands so the mirrored pair still hits.
-
-    def compose(self, first: ConstraintEdge, second: ConstraintEdge) -> ConstraintEdge:
-        return first.compose_with(second)
-
-    def join(self, first: ConstraintEdge, second: ConstraintEdge) -> ConstraintEdge:
-        return first.join_with(second)
-
-    def cache_stats(self) -> Dict[str, int]:
-        """Counters in the shape ``IDESolver.stats`` reports them."""
-        stats = self.stats
-        stats["interned_edges"] = len(self._edges)
-        return stats
 
 
 class LiftedProblem(IDEProblem[D, Constraint]):

@@ -357,13 +357,13 @@ class SPLLift(Generic[D]):
         and refreshed for the rest (see ``summary_cache_for``); results
         are bit-identical to a cold solve.
 
-        ``engine`` selects the evaluation engine (default
-        ``$SPLLIFT_ENGINE``, else ``tabulate``): ``"tabulate"`` is the
-        two-phase IDE tabulation above; ``"datalog"`` compiles the
-        lifted problem to constraint-annotated Datalog rules and runs a
-        semi-naive fixpoint (:mod:`repro.datalog`) — an independent
-        engine whose results are bit-identical.  The datalog engine does
-        not support ``summaries``.
+        ``engine`` selects the evaluation engine (default ``tabulate``):
+        ``"tabulate"`` is the two-phase IDE tabulation above;
+        ``"datalog"`` compiles the lifted problem to constraint-annotated
+        Datalog rules and runs a semi-naive fixpoint
+        (:mod:`repro.datalog`) — an independent engine whose results are
+        bit-identical.  The datalog engine does not support
+        ``summaries``.
 
         Every solve runs in this process; parallelism lives at job
         granularity (:class:`~repro.core.parallel.ProcessTaskPool`).

@@ -17,7 +17,6 @@ on the heavily optimized tabulation path
 
 from __future__ import annotations
 
-import os
 from typing import Optional
 
 from repro.datalog.engine import Relation, Rule, SemiNaiveEvaluator
@@ -32,16 +31,14 @@ __all__ = [
     "SemiNaiveEvaluator",
 ]
 
-#: The available evaluation engines; ``None`` resolves to
-#: ``$SPLLIFT_ENGINE`` (default ``tabulate``), mirroring how worklist
-#: orders resolve through ``$SPLLIFT_WORKLIST_ORDER``.
+#: The available evaluation engines; ``None`` means ``tabulate``.
 ENGINES = ("tabulate", "datalog")
 
 
 def resolve_engine(engine: Optional[str]) -> str:
-    """Resolve an engine name (``None`` → environment → default)."""
+    """Check an engine name (``None`` → ``tabulate``)."""
     if engine is None:
-        engine = os.environ.get("SPLLIFT_ENGINE", "tabulate")
+        return "tabulate"
     if engine not in ENGINES:
         raise ValueError(
             f"engine must be one of {'/'.join(ENGINES)}, got {engine!r}"

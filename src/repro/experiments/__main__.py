@@ -64,7 +64,7 @@ def main(argv=None) -> int:
         metavar="ENGINE",
         default=None,
         help="SPLLIFT evaluation engine for table2/table3 cells "
-        "(tabulate or datalog; default: $SPLLIFT_ENGINE, else tabulate); "
+        "(tabulate or datalog; default: tabulate); "
         "result digests are identical either way — timings are the A/B",
     )
     parser.add_argument(

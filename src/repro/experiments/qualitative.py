@@ -16,14 +16,12 @@ This module measures both on the reproduction's subjects.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import Callable, List, Sequence, Tuple, Type
 
 from repro.analyses import PAPER_ANALYSES
-from repro.baselines.a2 import A2Problem
+from repro.baselines.a2 import measure_a2
 from repro.ifds.problem import IFDSProblem
-from repro.ifds.solver import IFDSSolver
 from repro.service.worker import solve_product_line
 from repro.spl.benchmarks import paper_subjects
 from repro.spl.product_line import ProductLine
@@ -81,13 +79,10 @@ def run_qualitative(
         product_line = builder()
         for analysis_name, analysis_class in analyses:
             _, results = solve_product_line(product_line, analysis_class)
-            analysis = analysis_class(product_line.icfg)
-            solver = IFDSSolver(
-                A2Problem(analysis, frozenset(product_line.features_reachable))
+            a2_seconds, a2_stats = measure_a2(
+                analysis_class(product_line.icfg),
+                frozenset(product_line.features_reachable),
             )
-            started = time.perf_counter()
-            solver.solve()
-            a2_seconds = time.perf_counter() - started
             rows.append(
                 QualitativeRow(
                     benchmark=name,
@@ -95,7 +90,7 @@ def run_qualitative(
                     spllift_seconds=results.solve_seconds,
                     spllift_edges=results.stats["jump_functions"],
                     a2_full_seconds=a2_seconds,
-                    a2_full_edges=solver.stats["path_edges"],
+                    a2_full_edges=a2_stats["path_edges"],
                 )
             )
     return rows

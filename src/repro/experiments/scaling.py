@@ -14,10 +14,9 @@ import time
 from dataclasses import dataclass
 from typing import List, Sequence, Type
 
-from repro.baselines.a2 import A2Problem
+from repro.baselines.a2 import measure_a2
 from repro.core.solver import SPLLift
 from repro.ifds.problem import IFDSProblem
-from repro.ifds.solver import IFDSSolver
 from repro.spl.generator import SubjectSpec, generate_subject
 from repro.utils.tables import render_table
 from repro.utils.timing import format_count, format_duration, format_estimate
@@ -78,11 +77,10 @@ def run_scaling(
         spllift_seconds = time.perf_counter() - started
         # A2 anchors (the paper's estimation protocol).
         reachable = product_line.features_reachable
-        anchor_total = 0.0
-        for config in (frozenset(), frozenset(reachable)):
-            started = time.perf_counter()
-            IFDSSolver(A2Problem(analysis, config)).solve()
-            anchor_total += time.perf_counter() - started
+        anchor_total = sum(
+            measure_a2(analysis, config)[0]
+            for config in (frozenset(), frozenset(reachable))
+        )
         points.append(
             ScalingPoint(
                 features=len(reachable),

@@ -12,16 +12,14 @@ work (Section 4.2); SPLLIFT often lands close to the A2 gold standard.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple, Type
 
 from repro.analyses import PAPER_ANALYSES
-from repro.baselines.a2 import A2Problem
+from repro.baselines.a2 import measure_a2
 from repro.core.parallel import resolve_parallel
 from repro.experiments.harness import fan_out, spllift_column, spllift_job
 from repro.ifds.problem import IFDSProblem
-from repro.ifds.solver import IFDSSolver
 from repro.obs import runtime as obs
 from repro.spl.benchmarks import paper_subjects
 from repro.spl.product_line import ProductLine
@@ -63,11 +61,10 @@ def _a2_average(
             configurations.append(configuration)
             if len(configurations) >= sample_limit:
                 break
-        total = 0.0
-        for configuration in configurations:
-            started = time.perf_counter()
-            IFDSSolver(A2Problem(analysis, configuration)).solve()
-            total += time.perf_counter() - started
+        total = sum(
+            measure_a2(analysis, configuration)[0]
+            for configuration in configurations
+        )
         return total / len(configurations)
 
 

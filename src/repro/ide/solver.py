@@ -20,7 +20,6 @@ collapsing contradictory compositions to all-top, which this solver drops
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from typing import (
     Deque,
@@ -36,72 +35,16 @@ from typing import (
 
 from repro.ide.edgefunctions import EdgeFunction
 from repro.ide.problem import IDEProblem
+from repro.ifds.worklist import make_worklist, resolve_worklist_order
 from repro.ir.instructions import Instruction
 from repro.ir.program import IRMethod
-from repro.ir.rpo import RPORanker
 from repro.obs import runtime as obs
 from repro.utils import collector
 
-__all__ = ["IDESolver", "IDEResults", "WORKLIST_ORDERS", "BucketQueue"]
-
-#: Phase-I iteration orders; ``None`` resolves to $SPLLIFT_WORKLIST_ORDER
-#: (default ``fifo``), which is how CI matrix-runs the whole suite per order.
-WORKLIST_ORDERS = ("fifo", "lifo", "random", "rpo")
-
-
-def resolve_worklist_order(worklist_order: Optional[str]) -> str:
-    if worklist_order is None:
-        worklist_order = os.environ.get("SPLLIFT_WORKLIST_ORDER", "fifo")
-    if worklist_order not in WORKLIST_ORDERS:
-        raise ValueError(
-            f"worklist_order must be one of {'/'.join(WORKLIST_ORDERS)}, "
-            f"got {worklist_order!r}"
-        )
-    return worklist_order
+__all__ = ["IDESolver", "IDEResults"]
 
 D = TypeVar("D", bound=Hashable)
 V = TypeVar("V")
-
-
-class BucketQueue:
-    """Integer-priority queue: one list per rank plus a moving cursor.
-
-    RPO ranks are small dense ints, so a bucket per rank beats a binary
-    heap — push is a list append, pop scans the cursor forward.  Because
-    propagation mostly moves *down* the reverse post-order, the cursor
-    rarely rewinds (only on loop back-edges), keeping pops amortized O(1).
-    Order within one rank is unspecified (the fixed point is
-    order-independent); across ranks the minimum always pops first.
-    """
-
-    __slots__ = ("_buckets", "_cursor", "_size")
-
-    def __init__(self) -> None:
-        self._buckets: List[List] = []
-        self._cursor = 0
-        self._size = 0
-
-    def __len__(self) -> int:
-        return self._size
-
-    def push(self, rank: int, entry) -> None:
-        buckets = self._buckets
-        grow = rank + 1 - len(buckets)
-        if grow > 0:
-            buckets.extend([] for _ in range(grow))
-        buckets[rank].append(entry)
-        if rank < self._cursor:
-            self._cursor = rank
-        self._size += 1
-
-    def pop(self):
-        buckets = self._buckets
-        cursor = self._cursor
-        while not buckets[cursor]:
-            cursor += 1
-        self._cursor = cursor
-        self._size -= 1
-        return buckets[cursor].pop()
 
 
 class IDEResults(Generic[D, V]):
@@ -162,12 +105,10 @@ class IDEResults(Generic[D, V]):
 class IDESolver(Generic[D, V]):
     """Two-phase worklist solver for :class:`IDEProblem`.
 
-    ``worklist_order`` selects the iteration order of phase I: ``"fifo"``,
-    ``"lifo"``, ``"random"`` with ``order_seed``, or ``"rpo"`` (a priority
-    queue popping statements in per-method reverse post-order, so merge
-    points see near-final joined functions and re-propagate less).  ``None``
-    resolves to ``$SPLLIFT_WORKLIST_ORDER``, default ``fifo``.  The fixed
-    point is order-independent, but the amount of work is not — the paper
+    ``worklist_order`` selects the iteration order of phase I: ``"fifo"``
+    (also ``None``), ``"lifo"``, ``"random"`` with ``order_seed``, or
+    ``"rpo"`` (see :mod:`repro.ifds.worklist`).  The fixed point is
+    order-independent, but the amount of work is not — the paper
     observes "a relatively high variance in the analysis times ... caused
     by non-determinism in the order in which the IDE solution is computed"
     (Section 6.2); exposing the order makes that variance measurable
@@ -181,21 +122,13 @@ class IDESolver(Generic[D, V]):
         order_seed: int = 0,
         summaries: Optional[object] = None,
     ) -> None:
-        worklist_order = resolve_worklist_order(worklist_order)
-        self._order = worklist_order
+        self._order = resolve_worklist_order(worklist_order)
         # Incremental warm-summary provider (repro.ide.summaries); None
         # on a cold solve.  The provider may detach itself in attach()
         # when the problem shape does not support reuse.
         self._summaries = summaries
-        if worklist_order == "random":
-            import random as _random
-
-            self._rng = _random.Random(order_seed)
         self.problem = problem
         self.icfg = problem.icfg
-        self._use_heap = worklist_order == "rpo"
-        if self._use_heap:
-            self._ranker = RPORanker(problem.icfg)
         self.stats: Dict[str, int] = {
             "jump_functions": 0,
             "flow_applications": 0,
@@ -220,9 +153,10 @@ class IDESolver(Generic[D, V]):
         # The nesting lets phase II enumerate exactly the pairs whose source
         # fact matches, instead of scanning all (d1, d2) pairs per statement.
         self._jump: Dict[Instruction, Dict[D, Dict[D, EdgeFunction[V]]]] = {}
-        # fifo/lifo/random use a deque of entries; rpo uses a bucket queue
-        # indexed by statement rank.
-        self._worklist = BucketQueue() if self._use_heap else deque()
+        # Pending (d1, n, d2) entries, in the order's queue.
+        self._worklist, self._enqueue, self._dequeue = make_worklist(
+            self._order, problem.icfg, order_seed
+        )
         # Entries currently enqueued; re-joining a pending entry must not
         # enqueue it twice — its single pop reads the latest joined function.
         self._pending: Set[Tuple[D, Instruction, D]] = set()
@@ -318,8 +252,7 @@ class IDESolver(Generic[D, V]):
         worklist = self._worklist
         pending = self._pending
         jump = self._jump
-        fifo = self._order == "fifo"
-        use_heap = self._use_heap
+        dequeue = self._dequeue
         tick = 0
         while worklist:
             # One heartbeat per 256 pops, so the hot loop pays a
@@ -335,19 +268,11 @@ class IDESolver(Generic[D, V]):
                     worklist=len(worklist),
                     jumps=self.stats["jump_functions"],
                 )
-            # Inlined `_pop` for the default and rpo orders; every
-            # propagated entry has a jump-table row, so the lookup can
-            # index directly.
-            if fifo:
-                entry = worklist.popleft()
-                pending.discard(entry)
-                d1, n, d2 = entry
-            elif use_heap:
-                entry = worklist.pop()
-                pending.discard(entry)
-                d1, n, d2 = entry
-            else:
-                d1, n, d2 = self._pop()
+            entry = dequeue()
+            pending.discard(entry)
+            d1, n, d2 = entry
+            # Every propagated entry has a jump-table row, so the lookup
+            # can index directly.
             f = jump[n][d1][d2]
             kind = kind_cache.get(n)
             if kind is None:
@@ -368,24 +293,6 @@ class IDESolver(Generic[D, V]):
                 self._process_exit(d1, n, d2, f)
                 if kind == 3:
                     self._process_normal(d1, n, d2, f)
-
-    def _pop(self) -> Tuple[D, Instruction, D]:
-        if self._order == "fifo":
-            entry = self._worklist.popleft()
-        elif self._order == "rpo":
-            entry = self._worklist.pop()
-        elif self._order == "lifo":
-            entry = self._worklist.pop()
-        else:
-            # random: swap a random element to the end, then pop it.
-            index = self._rng.randrange(len(self._worklist))
-            self._worklist[index], self._worklist[-1] = (
-                self._worklist[-1],
-                self._worklist[index],
-            )
-            entry = self._worklist.pop()
-        self._pending.discard(entry)
-        return entry
 
     def _jump_fn(self, n: Instruction, d1: D, d2: D) -> EdgeFunction[V]:
         rows = self._jump.get(n)
@@ -424,10 +331,7 @@ class IDESolver(Generic[D, V]):
             self.stats["worklist_deduped"] += 1
             return
         self._pending.add(entry)
-        if self._use_heap:
-            self._worklist.push(self._ranker.rank_of(n), entry)
-        else:
-            self._worklist.append(entry)
+        self._enqueue(entry)
 
     # ------------------------------------------------------------------
     # Case: normal statements
@@ -459,9 +363,7 @@ class IDESolver(Generic[D, V]):
         stats["edge_compositions"] += len(exploded)
         jump = self._jump
         pending = self._pending
-        worklist = self._worklist
-        use_heap = self._use_heap
-        rank_of = self._ranker.rank_of if use_heap else None
+        enqueue = self._enqueue
         new_jumps = deduped = 0
         for succ, d3, edge in exploded:
             fn = f.compose_with(edge)
@@ -487,10 +389,7 @@ class IDESolver(Generic[D, V]):
                 deduped += 1
                 continue
             pending.add(entry)
-            if use_heap:
-                worklist.push(rank_of(succ), entry)
-            else:
-                worklist.append(entry)
+            enqueue(entry)
         if new_jumps:
             stats["jump_functions"] += new_jumps
         if deduped:

@@ -21,7 +21,6 @@ the number of edges constructed.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import (
     Dict,
     FrozenSet,
@@ -35,9 +34,9 @@ from typing import (
 )
 
 from repro.ifds.problem import IFDSProblem
+from repro.ifds.worklist import make_worklist, resolve_worklist_order
 from repro.ir.instructions import Instruction
 from repro.ir.program import IRMethod
-from repro.ir.rpo import RPORanker
 from repro.obs import runtime as obs
 from repro.utils import collector
 
@@ -77,9 +76,9 @@ class IFDSSolver(Generic[D]):
     """Worklist tabulation solver for :class:`IFDSProblem`.
 
     ``worklist_order`` mirrors :class:`~repro.ide.solver.IDESolver`:
-    ``"fifo"``/``"lifo"``/``"random"``/``"rpo"``, with ``None`` resolving
-    to ``$SPLLIFT_WORKLIST_ORDER`` (default ``fifo``).  The reachable-fact
-    fixed point is identical for every order.
+    ``"fifo"`` (also ``None``), ``"lifo"``, ``"random"`` with
+    ``order_seed``, or ``"rpo"`` (see :mod:`repro.ifds.worklist`).  The
+    reachable-fact fixed point is identical for every order.
     """
 
     def __init__(
@@ -88,22 +87,9 @@ class IFDSSolver(Generic[D]):
         worklist_order: Optional[str] = None,
         order_seed: int = 0,
     ) -> None:
-        # Late import to avoid a module cycle (ide.solver imports nothing
-        # from ifds, but keep the single source of truth for the orders
-        # and the rpo queue).
-        from repro.ide.solver import BucketQueue, resolve_worklist_order
-
-        worklist_order = resolve_worklist_order(worklist_order)
-        self._order = worklist_order
-        self._use_heap = worklist_order == "rpo"
-        if worklist_order == "random":
-            import random as _random
-
-            self._rng = _random.Random(order_seed)
+        self._order = resolve_worklist_order(worklist_order)
         self.problem = problem
         self.icfg = problem.icfg
-        if self._use_heap:
-            self._ranker = RPORanker(problem.icfg)
         self.stats: Dict[str, int] = {
             "path_edges": 0,
             "flow_applications": 0,
@@ -111,8 +97,10 @@ class IFDSSolver(Generic[D]):
         }
         # path edges grouped by target statement: n -> {(d1, d2)}
         self._path_edges: Dict[Instruction, Set[Tuple[D, D]]] = {}
-        # fifo/lifo/random use a deque; rpo a bucket queue keyed by rank.
-        self._worklist = BucketQueue() if self._use_heap else deque()
+        # Pending (d1, n, d2) entries, in the order's queue.
+        self._worklist, self._enqueue, self._dequeue = make_worklist(
+            self._order, problem.icfg, order_seed
+        )
         # (method, entry fact) -> summaries / incoming callers, as
         # insertion-ordered dicts (key -> None): a set of identity-hashed
         # statements iterates in address order, which would make the work
@@ -168,8 +156,7 @@ class IFDSSolver(Generic[D]):
                 self._propagate(fact, stmt, fact)
         worklist = self._worklist
         kind_cache = self._kind_cache
-        fifo = self._order == "fifo"
-        use_heap = self._use_heap
+        dequeue = self._dequeue
         tick = 0
         while worklist:
             # One heartbeat per 256 pops: flight ring and --progress.
@@ -181,16 +168,7 @@ class IFDSSolver(Generic[D]):
                     worklist=len(worklist),
                     path_edges=self.stats["path_edges"],
                 )
-            if fifo:
-                d1, n, d2 = worklist.popleft()
-            elif use_heap:
-                d1, n, d2 = worklist.pop()
-            elif self._order == "lifo":
-                d1, n, d2 = worklist.pop()
-            else:
-                index = self._rng.randrange(len(worklist))
-                worklist[index], worklist[-1] = worklist[-1], worklist[index]
-                d1, n, d2 = worklist.pop()
+            d1, n, d2 = dequeue()
             kind = kind_cache.get(n)
             if kind is None:
                 if self.icfg.is_call(n):
@@ -222,10 +200,7 @@ class IFDSSolver(Generic[D]):
             return
         edges.add(key)
         self.stats["path_edges"] += 1
-        if self._use_heap:
-            self._worklist.push(self._ranker.rank_of(n), (d1, n, d2))
-        else:
-            self._worklist.append((d1, n, d2))
+        self._enqueue((d1, n, d2))
 
     # ------------------------------------------------------------------
     # Case: normal statements
@@ -250,9 +225,7 @@ class IFDSSolver(Generic[D]):
         # _propagate inlined: this loop dominates the tabulation, and the
         # call overhead is measurable at millions of propagations.
         path_edges = self._path_edges
-        worklist = self._worklist
-        use_heap = self._use_heap
-        rank_of = self._ranker.rank_of if use_heap else None
+        enqueue = self._enqueue
         for succ, d3 in exploded:
             edges = path_edges.get(succ)
             if edges is None:
@@ -261,10 +234,7 @@ class IFDSSolver(Generic[D]):
             if edge not in edges:
                 edges.add(edge)
                 self.stats["path_edges"] += 1
-                if use_heap:
-                    worklist.push(rank_of(succ), (d1, succ, d3))
-                else:
-                    worklist.append((d1, succ, d3))
+                enqueue((d1, succ, d3))
 
     # ------------------------------------------------------------------
     # Case: call statements

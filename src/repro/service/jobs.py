@@ -68,7 +68,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple
 from repro.datalog import resolve_engine
 from repro.featuremodel.model import FeatureModel
 from repro.featuremodel.printer import render_feature_model
-from repro.ide.solver import resolve_worklist_order
+from repro.ifds.worklist import resolve_worklist_order
 from repro.ifds.problem import IFDSProblem
 from repro.ir.icfg import ICFG
 from repro.utils.files import read_utf8

@@ -70,16 +70,6 @@ def _maybe_crash(job: AnalysisJob) -> None:
         time.sleep(float(sleep))
 
 
-def _engine_label(job: AnalysisJob) -> str:
-    """The engine ``SPLLift.solve`` will run ``job`` on: its ``engine``
-    option, else ``$SPLLIFT_ENGINE``, else tabulate.  A bad environment
-    value is named as given; the solve then fails the job on it."""
-    try:
-        return resolve_engine(job.options.get("engine"))
-    except ValueError:
-        return str(os.environ.get("SPLLIFT_ENGINE"))
-
-
 def execute_job(job: AnalysisJob) -> Dict[str, object]:
     """Run one analysis job and return its store-ready record.
 
@@ -90,7 +80,7 @@ def execute_job(job: AnalysisJob) -> Dict[str, object]:
     reclaims it.
     """
     with collector.paused():
-        engine = _engine_label(job)
+        engine = resolve_engine(job.options.get("engine"))
         # Before any work (and before the fault-injection hooks): a flight
         # postmortem must be able to name the job a dead worker was running.
         obs.flight().note_job(
@@ -135,13 +125,11 @@ def _execute_job(job: AnalysisJob) -> Dict[str, object]:
         feature_model=job.feature_model(),
         entry=job.entry,
     )
-    # A job that sets no worklist order runs fifo whatever
-    # $SPLLIFT_WORKLIST_ORDER says; its other options default as in solve.
     _, results = solve_product_line(
         product_line,
         resolve_analysis(job.analysis),
         job.fm_mode,
-        **{"worklist_order": "fifo", **job.solve_options()},
+        **job.solve_options(),
     )
     with obs.tracer().span("service/build_record"):
         return build_record(job, results, solve_seconds=results.solve_seconds)

@@ -168,17 +168,15 @@ class TestSemiNaiveEvaluator:
 
 
 class TestResolveEngine:
-    def test_default_is_tabulate(self, monkeypatch):
-        monkeypatch.delenv("SPLLIFT_ENGINE", raising=False)
+    def test_default_is_tabulate(self):
         assert resolve_engine(None) == "tabulate"
 
-    def test_env_var_fallback(self, monkeypatch):
-        monkeypatch.setenv("SPLLIFT_ENGINE", "datalog")
-        assert resolve_engine(None) == "datalog"
-
     def test_explicit_beats_env(self, monkeypatch):
+        # Only the argument selects an engine; the variable that once
+        # did is ignored.
         monkeypatch.setenv("SPLLIFT_ENGINE", "datalog")
         assert resolve_engine("tabulate") == "tabulate"
+        assert resolve_engine(None) == "tabulate"
 
     def test_unknown_engine_raises(self):
         with pytest.raises(ValueError, match="bogus"):

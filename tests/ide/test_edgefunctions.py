@@ -3,7 +3,7 @@
 import pytest
 
 from repro.constraints import BddConstraintSystem
-from repro.core.lifting import ConstraintEdge
+from repro.core.lifting import ConstraintEdge, EdgeFunctionTable
 from repro.ide import AllTop, IdentityEdge
 from repro.ide.edgefunctions import _ACTIVE_DELEGATIONS, EdgeFunction
 
@@ -11,6 +11,12 @@ from repro.ide.edgefunctions import _ACTIVE_DELEGATIONS, EdgeFunction
 @pytest.fixture
 def system():
     return BddConstraintSystem()
+
+
+@pytest.fixture
+def interned(system):
+    """Edge constructor: every ``ConstraintEdge`` lives in a table."""
+    return EdgeFunctionTable(system).edge
 
 
 class TestGenericEdgeFunctions:
@@ -85,72 +91,77 @@ class TestMutualDelegation:
 
 
 class TestConstraintEdge:
-    def test_compute_target_conjoins(self, system):
+    def test_compute_target_conjoins(self, system, interned):
         f = system.var("F")
-        edge = ConstraintEdge(f)
+        edge = interned(f)
         assert edge.compute_target(system.true) == f
         assert edge.compute_target(~f).is_false
 
-    def test_compose_conjoins(self, system):
+    def test_compose_conjoins(self, system, interned):
         f, g = system.var("F"), system.var("G")
-        composed = ConstraintEdge(f).compose_with(ConstraintEdge(g))
+        composed = interned(f).compose_with(interned(g))
         assert isinstance(composed, ConstraintEdge)
         assert composed.constraint == (f & g)
 
-    def test_join_disjoins(self, system):
+    def test_join_disjoins(self, system, interned):
         f, g = system.var("F"), system.var("G")
-        joined = ConstraintEdge(f).join_with(ConstraintEdge(g))
+        joined = interned(f).join_with(interned(g))
         assert joined.constraint == (f | g)
 
-    def test_contradiction_equals_all_top(self, system):
+    def test_contradiction_equals_all_top(self, system, interned):
         f = system.var("F")
-        contradiction = ConstraintEdge(f).compose_with(ConstraintEdge(~f))
+        contradiction = interned(f).compose_with(interned(~f))
         assert contradiction.equal_to(AllTop(system.false))
 
-    def test_compose_with_all_top_is_all_top(self, system):
+    def test_compose_with_all_top_is_all_top(self, system, interned):
         all_top = AllTop(system.false)
-        result = ConstraintEdge(system.var("F")).compose_with(all_top)
+        result = interned(system.var("F")).compose_with(all_top)
         assert result is all_top
 
-    def test_join_with_all_top_is_self(self, system):
-        edge = ConstraintEdge(system.var("F"))
+    def test_join_with_all_top_is_self(self, system, interned):
+        edge = interned(system.var("F"))
         assert edge.join_with(AllTop(system.false)) is edge
 
-    def test_equality_is_constraint_equality(self, system):
+    def test_equality_is_constraint_equality(self, system, interned):
         f, g = system.var("F"), system.var("G")
-        lhs = ConstraintEdge(~(f & g))
-        rhs = ConstraintEdge((~f) | (~g))
+        lhs = interned(~(f & g))
+        rhs = interned((~f) | (~g))
         assert lhs.equal_to(rhs)  # canonical BDDs: same function, equal
+        # Another table's flyweight is another instance, yet equal.
+        other = EdgeFunctionTable(system).edge((~f) | (~g))
+        assert other is not lhs
+        assert lhs.equal_to(other) and other.equal_to(lhs)
+        assert not lhs.equal_to(interned(f))
 
-    def test_paper_section_3_4_composition(self, system):
+    def test_paper_section_3_4_composition(self, system, interned):
         """Constraints along a path conjoin; merge points disjoin."""
         f, g, h = system.var("F"), system.var("G"), system.var("H")
         path1 = (
-            ConstraintEdge(system.true)
-            .compose_with(ConstraintEdge(~f))
-            .compose_with(ConstraintEdge(g))
-            .compose_with(ConstraintEdge(~h))
+            interned(system.true)
+            .compose_with(interned(~f))
+            .compose_with(interned(g))
+            .compose_with(interned(~h))
         )
-        path2 = ConstraintEdge(system.false)
+        path2 = interned(system.false)
         merged = path1.join_with(path2)
         assert merged.constraint == system.parse("!F && G && !H")
 
-    def test_algebra_is_closed(self, system):
+    def test_algebra_is_closed(self, system, interned):
         """compose/join of λc.c∧A functions stay in the family — the
         property that makes the lifting encodable in IDE (Section 8)."""
         edges = [
-            ConstraintEdge(system.var("F")),
-            ConstraintEdge(~system.var("G")),
-            ConstraintEdge(system.true),
-            ConstraintEdge(system.false),
+            interned(system.var("F")),
+            interned(~system.var("G")),
+            interned(system.true),
+            interned(system.false),
         ]
         for left in edges:
             for right in edges:
                 assert isinstance(left.compose_with(right), ConstraintEdge)
                 assert isinstance(left.join_with(right), ConstraintEdge)
 
-    def test_type_errors(self, system):
-        edge = ConstraintEdge(system.var("F"))
+    def test_type_errors(self, system, interned):
+        edge = interned(system.var("F"))
         with pytest.raises(TypeError):
             edge.compose_with(IdentityEdge())
         with pytest.raises(TypeError):

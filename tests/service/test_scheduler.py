@@ -206,7 +206,7 @@ class TestFailureHandling:
 
 class TestEngineLabel:
     """The flight ring's job note and the ``job.start`` event name the
-    engine the job solves on, ``$SPLLIFT_ENGINE`` included."""
+    engine the job solves on; only the job's ``engine`` option picks it."""
 
     @pytest.fixture(autouse=True)
     def clean_obs(self):
@@ -222,30 +222,28 @@ class TestEngineLabel:
             [e["engine"] for e in events if e["name"] == "job.start"],
         )
 
-    def test_environment_engine_is_named(self, monkeypatch):
-        monkeypatch.setenv("SPLLIFT_ENGINE", "datalog")
-        job = AnalysisJob("fig1", FIGURE1_SOURCE, "taint")
-        report = run_batch([job], None, use_pool=False)
-        assert report.outcomes[0].status == "computed"
-        assert self._labels() == (["datalog"], ["datalog"])
-
     def test_job_option_wins_over_environment(self, monkeypatch):
+        # The variable once chose the engine of a job that names none.
         monkeypatch.setenv("SPLLIFT_ENGINE", "datalog")
         report = run_batch(
-            [_job(options={"engine": "tabulate"})], None, use_pool=False
+            [_job(), _job(options={"engine": "datalog"})], None, use_pool=False
         )
-        assert report.outcomes[0].status == "computed"
-        assert self._labels() == (["tabulate"], ["tabulate"])
+        assert [o.status for o in report.outcomes] == ["computed"] * 2
+        assert self._labels() == (
+            ["tabulate", "datalog"],
+            ["tabulate", "datalog"],
+        )
 
-    def test_bad_environment_engine_still_fails_the_job(self, monkeypatch):
-        monkeypatch.setenv("SPLLIFT_ENGINE", "bogus")
-        report = run_batch([_job()], None, use_pool=False)
-        outcome = report.outcomes[0]
-        assert outcome.status == "failed"
-        assert outcome.error == (
-            "ValueError: engine must be one of tabulate/datalog, got 'bogus'"
-        )
-        assert self._labels() == (["bogus"], ["bogus"])
+    def test_stored_record_names_the_job_engine(self, tmp_path, monkeypatch):
+        """A record is stored under its job digest, which names no
+        engine when the job sets none: the environment must not slip a
+        datalog-solved record in under it."""
+        monkeypatch.setenv("SPLLIFT_ENGINE", "datalog")
+        store = ResultStore(tmp_path / "store")
+        report = run_batch([_job()], store, use_pool=False)
+        record = store.get(report.outcomes[0].job.digest)
+        assert "engine" not in record["stats"]  # tabulation stats
+        assert "jump_functions" in record["stats"]
 
 
 class TestWorkerReporting:

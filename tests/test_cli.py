@@ -329,12 +329,6 @@ class TestEngineFlag:
         assert "bogus" in err
         assert len(err.strip().splitlines()) == 1  # one line, no traceback
 
-    def test_engine_env_var_resolved(self, spl_file, capsys, monkeypatch):
-        monkeypatch.setenv("SPLLIFT_ENGINE", "not-an-engine")
-        rc = main(["analyze", spl_file, "--analysis", "taint"])
-        assert rc == 2
-        assert "not-an-engine" in capsys.readouterr().err
-
     def test_datalog_rejects_incremental_cache(self, spl_file, tmp_path, capsys):
         rc = main(
             [

@@ -475,6 +475,42 @@ class TestCleanErrors:
         assert captured.out == ""
         assert not store.exists()  # the store was never opened
 
+    def _check_batch_option(self, capsys, manifest, tmp_path, *option):
+        """A bad numeric option fails the batch before any job runs."""
+        store = tmp_path / "store"
+        rc = main(["batch", manifest, "--cache-dir", str(store), *option])
+        captured = self._check(capsys, rc)
+        assert option[0] in captured.err
+        assert captured.out == ""
+        assert not store.exists()  # the store was never opened
+        return captured
+
+    def test_batch_negative_retries(self, manifest, tmp_path, capsys):
+        self._check_batch_option(capsys, manifest, tmp_path, "--retries", "-1")
+
+    @pytest.mark.parametrize("seconds", ["0", "-1", "nan", "inf"])
+    def test_batch_nonpositive_timeout(self, manifest, tmp_path, capsys, seconds):
+        self._check_batch_option(
+            capsys, manifest, tmp_path, "--timeout", seconds
+        )
+
+    def test_batch_negative_jobs(self, manifest, tmp_path, capsys):
+        captured = self._check_batch_option(
+            capsys, manifest, tmp_path, "--jobs", "-3"
+        )
+        assert "-3" in captured.err
+        # 0 still means one worker per CPU.
+        assert main(["batch", manifest, "--no-store", "--no-pool", "--jobs", "0"]) == 0
+
+    def test_serve_port_out_of_range(self, tmp_path, capsys):
+        for port in ("70000", "-1"):
+            rc = main(
+                ["serve", "--cache-dir", str(tmp_path / "store"), "--port", port]
+            )
+            captured = self._check(capsys, rc)
+            assert "--port" in captured.err and port in captured.err
+        assert not (tmp_path / "store").exists()
+
     def test_run_missing_file(self, capsys):
         rc = main(["run", "no-such-file.mj"])
         self._check(capsys, rc)
