@@ -32,4 +32,4 @@ def test_order_variance(benchmark, subjects, subject_name, analysis_class):
         iterations=1,
     )
     assert report.results_identical  # fixed point is order-independent
-    assert report.work_spread >= 1.0
+    assert report.work_spread > 1.0  # rpo does less than lifo on each

@@ -313,6 +313,11 @@ def _check_batch_limits(args) -> None:
         )
     if args.retries < 0:
         raise ServiceError(f"--retries must be >= 0, got {args.retries}")
+    if args.timeout is not None and args.no_pool:
+        raise ServiceError(
+            "--timeout bounds pool workers; --no-pool runs every job "
+            "in-process, where it cannot be stopped"
+        )
 
 
 def _cmd_batch(args) -> int:
@@ -630,8 +635,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--worklist-order",
         choices=WORKLIST_ORDERS,
         default=None,
-        help="solver worklist scheduling; the fixed point is "
-        "order-independent (default: fifo)",
+        help="phase-I worklist scheduling; the fixed point is "
+        "order-independent, the work is not (default: rpo, which "
+        "re-joins least)",
     )
     analyze.add_argument(
         "--engine",
@@ -698,7 +704,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes (default, or 0: one per CPU)",
     )
     batch.add_argument(
-        "--timeout", type=float, help="per-job timeout in seconds"
+        "--timeout",
+        type=float,
+        help="per-job timeout in seconds; it bounds pool workers, so it "
+        "cannot be combined with --no-pool",
     )
     batch.add_argument(
         "--retries",

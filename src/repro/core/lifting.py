@@ -24,7 +24,10 @@ reachability constraints as a side effect (Section 3.5).
 With a feature model ``m`` (Section 4.2), every edge label ``f`` becomes
 ``f ∧ m``; contradictions reduce to ``false`` (= the all-top edge
 function), which the IDE solver drops — terminating infeasible paths
-already during the jump-function construction phase.
+already during the jump-function construction phase.  A label depends
+only on its statement, so each distinct label is conjoined with ``m``
+(and each condition negated) once per problem, not once per exploded
+edge.
 """
 
 from __future__ import annotations
@@ -223,7 +226,11 @@ class LiftedProblem(IDEProblem[D, Constraint]):
         self._declare_annotation_variables()
         self._inner_flow_cache: Dict[tuple, object] = {}
         self.edge_table = EdgeFunctionTable(system)
-        self._true_edge = self.edge_table.edge(system.true & self._edge_label_fm)
+        # label -> its interned edge (label ∧ m), and condition -> ¬condition;
+        # both filled as the solver asks, so no unused edge is built.
+        self._label_edges: Dict[Constraint, ConstraintEdge] = {}
+        self._negations: Dict[Constraint, Constraint] = {}
+        self._true_edge = self._edge(system.true)
         self._seed_edge = self.edge_table.edge(system.true)
 
     # ------------------------------------------------------------------
@@ -286,7 +293,19 @@ class LiftedProblem(IDEProblem[D, Constraint]):
     def _edge(self, label: Constraint) -> ConstraintEdge:
         """The interned edge function for label ``f``, implicitly conjoined
         with the feature model ``m`` in "edge" mode (Section 4.2)."""
-        return self.edge_table.edge(label & self._edge_label_fm)
+        edge = self._label_edges.get(label)
+        if edge is None:
+            edge = self._label_edges[label] = self.edge_table.edge(
+                label & self._edge_label_fm
+            )
+        return edge
+
+    def _negation(self, condition: Constraint) -> Constraint:
+        """``¬condition``, the disabled-case label (Figure 4)."""
+        negated = self._negations.get(condition)
+        if negated is None:
+            negated = self._negations[condition] = ~condition
+        return negated
 
     def edge_cache_stats(self) -> Dict[str, int]:
         """Edge-algebra and BDD substrate counters (merged into
@@ -414,7 +433,7 @@ class LiftedProblem(IDEProblem[D, Constraint]):
             return self._label(condition, enabled, disabled)
         if isinstance(stmt, Return):
             # Synthetic fall-through edge: the disabled case only.
-            return self._edge(~condition)
+            return self._edge(self._negation(condition))
         enabled = self._in_inner_normal(stmt, stmt_fact, succ, succ_fact)
         disabled = succ_fact == stmt_fact
         return self._label(condition, enabled, disabled)
@@ -440,7 +459,7 @@ class LiftedProblem(IDEProblem[D, Constraint]):
         if enabled:
             return self._edge(condition)
         if disabled:
-            return self._edge(~condition)
+            return self._edge(self._negation(condition))
         # The solver only asks for edges produced by the flow functions,
         # so at least one case must apply.
         raise AssertionError("edge label requested for a non-existent edge")

@@ -348,8 +348,9 @@ class SPLLift(Generic[D]):
         """Run the IDE solver on the lifted problem (one single pass).
 
         ``worklist_order``/``order_seed`` select the phase-I iteration
-        order (see :class:`IDESolver`); the fixed point — and therefore
-        the result digest — is order-independent.
+        order (see :class:`IDESolver`; ``None`` is ``rpo``, the order that
+        re-joins least); the fixed point — and therefore the result
+        digest — is order-independent.
 
         ``summaries`` arms incremental re-analysis: a
         :class:`~repro.ide.summaries.SummaryCache` whose stored

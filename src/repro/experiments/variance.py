@@ -70,10 +70,13 @@ def run_variance(
     analysis_class: Type[IFDSProblem],
     random_orders: int = 8,
 ) -> VarianceReport:
-    """Solve the same lifted problem under fifo, lifo and random orders."""
+    """Solve the same lifted problem under fifo, lifo, rpo (the default)
+    and random orders."""
     from repro.constraints.bddsystem import BddConstraintSystem
 
-    orders: List[Tuple[str, str, int]] = [("fifo", "fifo", 0), ("lifo", "lifo", 0)]
+    orders: List[Tuple[str, str, int]] = [
+        (order, order, 0) for order in ("fifo", "lifo", "rpo")
+    ]
     orders.extend(
         (f"random:{seed}", "random", seed) for seed in range(random_orders)
     )

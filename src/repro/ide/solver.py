@@ -35,7 +35,11 @@ from typing import (
 
 from repro.ide.edgefunctions import EdgeFunction
 from repro.ide.problem import IDEProblem
-from repro.ifds.worklist import make_worklist, resolve_worklist_order
+from repro.ifds.worklist import (
+    IDE_DEFAULT_ORDER,
+    make_worklist,
+    resolve_worklist_order,
+)
 from repro.ir.instructions import Instruction
 from repro.ir.program import IRMethod
 from repro.obs import runtime as obs
@@ -105,14 +109,15 @@ class IDEResults(Generic[D, V]):
 class IDESolver(Generic[D, V]):
     """Two-phase worklist solver for :class:`IDEProblem`.
 
-    ``worklist_order`` selects the iteration order of phase I: ``"fifo"``
-    (also ``None``), ``"lifo"``, ``"random"`` with ``order_seed``, or
-    ``"rpo"`` (see :mod:`repro.ifds.worklist`).  The fixed point is
+    ``worklist_order`` selects the iteration order of phase I: ``"rpo"``
+    (also ``None``), ``"fifo"``, ``"lifo"`` or ``"random"`` with
+    ``order_seed`` (see :mod:`repro.ifds.worklist`).  The fixed point is
     order-independent, but the amount of work is not — the paper
     observes "a relatively high variance in the analysis times ... caused
     by non-determinism in the order in which the IDE solution is computed"
     (Section 6.2); exposing the order makes that variance measurable
-    (see ``repro.experiments.variance``).
+    (see ``repro.experiments.variance``).  rpo re-joins least, so it is
+    the default (:data:`~repro.ifds.worklist.IDE_DEFAULT_ORDER`).
     """
 
     def __init__(
@@ -122,7 +127,7 @@ class IDESolver(Generic[D, V]):
         order_seed: int = 0,
         summaries: Optional[object] = None,
     ) -> None:
-        self._order = resolve_worklist_order(worklist_order)
+        self._order = resolve_worklist_order(worklist_order, IDE_DEFAULT_ORDER)
         # Incremental warm-summary provider (repro.ide.summaries); None
         # on a cold solve.  The provider may detach itself in attach()
         # when the problem shape does not support reuse.
@@ -173,36 +178,20 @@ class IDESolver(Generic[D, V]):
             Tuple[IRMethod, D], Dict[Tuple[Instruction, D, D], None]
         ] = {}
         self._all_top = problem.all_top()
-        # Exploded-successor memos.  Flow functions and edge functions
-        # depend only on (statement, fact) — never on the path's source
-        # fact d1 — so the solver caches, per (n, d2), the tuple of
-        # (successor, d3, edge function) it produces.  Re-walks of the same
-        # exploded node with a different d1 (the common case in phase I)
-        # then skip flow-function application and edge construction.
-        self._normal_cache: Dict[
-            Tuple[Instruction, D],
-            Tuple[Tuple[Instruction, D, EdgeFunction[V]], ...],
-        ] = {}
-        self._c2r_cache: Dict[
-            Tuple[Instruction, D],
-            Tuple[Tuple[Instruction, D, EdgeFunction[V]], ...],
-        ] = {}
-        # (call, d2) -> ((callee, callee start, entry facts), ...)
+        # (call, d2) -> ((callee, callee start, entry facts), ...).  Phase
+        # II walks the call edges again, so their targets are kept; the
+        # other exploded successors are recomputed on the rare re-walk of
+        # an (n, d2) node (rpo reaches most nodes once).
         self._call_cache: Dict[
             Tuple[Instruction, D],
             Tuple[Tuple[IRMethod, Instruction, Tuple[D, ...]], ...],
-        ] = {}
-        # (call, exit stmt, exit fact) -> ((return site, d5, edge), ...)
-        self._return_cache: Dict[
-            Tuple[Instruction, Instruction, D],
-            Tuple[Tuple[Instruction, D, EdgeFunction[V]], ...],
         ] = {}
         # Statement kind (0 normal, 1 call, 2 exit, 3 exit-with-successors),
         # resolved once per statement instead of per worklist pop.
         self._kind_cache: Dict[Instruction, int] = {}
         # Flow functions are pure per ICFG edge; constructing them (closure
-        # allocation in the client analyses) is cached per edge so memo
-        # misses for further facts at the same edge skip it.
+        # allocation in the client analyses) is cached per edge, so further
+        # facts at the same edge skip it.
         self._flow_cache: Dict[tuple, object] = {}
 
     # ==================================================================
@@ -340,56 +329,50 @@ class IDESolver(Generic[D, V]):
     def _process_normal(
         self, d1: D, n: Instruction, d2: D, f: EdgeFunction[V]
     ) -> None:
-        key = (n, d2)
-        exploded = self._normal_cache.get(key)
-        if exploded is None:
-            entries: List[Tuple[Instruction, D, EdgeFunction[V]]] = []
-            for succ in self.icfg.successors_of(n):
-                fkey = ("normal", n, succ)
-                flow = self._flow_cache.get(fkey)
-                if flow is None:
-                    flow = self._flow_cache[fkey] = self.problem.normal_flow(
-                        n, succ
-                    )
-                self.stats["flow_applications"] += 1
-                for d3 in flow.compute_targets(d2):
-                    edge = self.problem.edge_normal(n, d2, succ, d3)
-                    entries.append((succ, d3, edge))
-            exploded = self._normal_cache[key] = tuple(entries)
         # `_propagate` inlined: the compose loop below is the hottest frame
         # of the lifted solve (ROADMAP "solver micro-path"), and the call
         # overhead is measurable at millions of propagations.
         stats = self.stats
-        stats["edge_compositions"] += len(exploded)
+        problem = self.problem
+        flow_cache = self._flow_cache
         jump = self._jump
         pending = self._pending
         enqueue = self._enqueue
-        new_jumps = deduped = 0
-        for succ, d3, edge in exploded:
-            fn = f.compose_with(edge)
-            if fn.is_top:
-                continue  # no flow — drop the path (early termination)
-            rows = jump.get(succ)
-            if rows is None:
-                rows = jump[succ] = {}
-            row = rows.get(d1)
-            if row is None:
-                row = rows[d1] = {}
-            old = row.get(d3)
-            if old is None:
-                new_jumps += 1
-                joined = fn
-            else:
-                joined = old.join_with(fn)
-                if joined is old or joined.equal_to(old):
+        successors = self.icfg.successors_of(n)
+        new_jumps = deduped = compositions = 0
+        for succ in successors:
+            fkey = ("normal", n, succ)
+            flow = flow_cache.get(fkey)
+            if flow is None:
+                flow = flow_cache[fkey] = problem.normal_flow(n, succ)
+            for d3 in flow.compute_targets(d2):
+                compositions += 1
+                fn = f.compose_with(problem.edge_normal(n, d2, succ, d3))
+                if fn.is_top:
+                    continue  # no flow — drop the path (early termination)
+                rows = jump.get(succ)
+                if rows is None:
+                    rows = jump[succ] = {}
+                row = rows.get(d1)
+                if row is None:
+                    row = rows[d1] = {}
+                old = row.get(d3)
+                if old is None:
+                    new_jumps += 1
+                    joined = fn
+                else:
+                    joined = old.join_with(fn)
+                    if joined is old or joined.equal_to(old):
+                        continue
+                row[d3] = joined
+                entry = (d1, succ, d3)
+                if entry in pending:
+                    deduped += 1
                     continue
-            row[d3] = joined
-            entry = (d1, succ, d3)
-            if entry in pending:
-                deduped += 1
-                continue
-            pending.add(entry)
-            enqueue(entry)
+                pending.add(entry)
+                enqueue(entry)
+        stats["flow_applications"] += len(successors)
+        stats["edge_compositions"] += compositions
         if new_jumps:
             stats["jump_functions"] += new_jumps
         if deduped:
@@ -449,25 +432,18 @@ class IDESolver(Generic[D, V]):
                     self._apply_summary(
                         n, d1, d2, f, callee, d3, exit_stmt, d4, summary, return_sites
                     )
-        key = (n, d2)
-        exploded = self._c2r_cache.get(key)
-        if exploded is None:
-            entries: List[Tuple[Instruction, D, EdgeFunction[V]]] = []
-            for return_site in return_sites:
-                fkey = ("c2r", n, return_site)
-                flow = self._flow_cache.get(fkey)
-                if flow is None:
-                    flow = self._flow_cache[
-                        fkey
-                    ] = self.problem.call_to_return_flow(n, return_site)
-                self.stats["flow_applications"] += 1
-                for d3 in flow.compute_targets(d2):
-                    edge = self.problem.edge_call_to_return(n, d2, return_site, d3)
-                    entries.append((return_site, d3, edge))
-            exploded = self._c2r_cache[key] = tuple(entries)
-        self.stats["edge_compositions"] += len(exploded)
-        for return_site, d3, edge in exploded:
-            self._propagate(d1, return_site, d3, f.compose_with(edge))
+        for return_site in return_sites:
+            fkey = ("c2r", n, return_site)
+            flow = self._flow_cache.get(fkey)
+            if flow is None:
+                flow = self._flow_cache[fkey] = self.problem.call_to_return_flow(
+                    n, return_site
+                )
+            self.stats["flow_applications"] += 1
+            for d3 in flow.compute_targets(d2):
+                edge = self.problem.edge_call_to_return(n, d2, return_site, d3)
+                self.stats["edge_compositions"] += 1
+                self._propagate(d1, return_site, d3, f.compose_with(edge))
 
     def _apply_summary(
         self,
@@ -483,34 +459,35 @@ class IDESolver(Generic[D, V]):
         return_sites: Tuple[Instruction, ...],
     ) -> None:
         """Compose caller function, call edge, summary and return edge."""
-        key = (call, exit_stmt, exit_fact)
-        exploded = self._return_cache.get(key)
-        if exploded is None:
-            entries: List[Tuple[Instruction, D, EdgeFunction[V]]] = []
-            for return_site in return_sites:
-                fkey = ("return", call, exit_stmt, return_site)
-                flow = self._flow_cache.get(fkey)
-                if flow is None:
-                    flow = self._flow_cache[fkey] = self.problem.return_flow(
-                        call, callee, exit_stmt, return_site
+        problem = self.problem
+        stats = self.stats
+        # The caller/call/summary prefix is shared by every return edge;
+        # it is composed when the first return edge exists.
+        prefix = None
+        for return_site in return_sites:
+            fkey = ("return", call, exit_stmt, return_site)
+            flow = self._flow_cache.get(fkey)
+            if flow is None:
+                flow = self._flow_cache[fkey] = problem.return_flow(
+                    call, callee, exit_stmt, return_site
+                )
+            stats["flow_applications"] += 1
+            for d5 in flow.compute_targets(exit_fact):
+                if prefix is None:
+                    call_edge = problem.edge_call(
+                        call, call_fact, callee, entry_fact
                     )
-                self.stats["flow_applications"] += 1
-                for d5 in flow.compute_targets(exit_fact):
-                    return_edge = self.problem.edge_return(
-                        call, callee, exit_stmt, exit_fact, return_site, d5
+                    prefix = caller_fn.compose_with(call_edge).compose_with(
+                        summary_fn
                     )
-                    entries.append((return_site, d5, return_edge))
-            exploded = self._return_cache[key] = tuple(entries)
-        if not exploded:
-            return
-        call_edge = self.problem.edge_call(call, call_fact, callee, entry_fact)
-        # The caller/call/summary prefix is shared by every return edge.
-        prefix = caller_fn.compose_with(call_edge).compose_with(summary_fn)
-        self.stats["edge_compositions"] += 2 + len(exploded)
-        for return_site, d5, return_edge in exploded:
-            self._propagate(
-                caller_source, return_site, d5, prefix.compose_with(return_edge)
-            )
+                    stats["edge_compositions"] += 2
+                return_edge = problem.edge_return(
+                    call, callee, exit_stmt, exit_fact, return_site, d5
+                )
+                stats["edge_compositions"] += 1
+                self._propagate(
+                    caller_source, return_site, d5, prefix.compose_with(return_edge)
+                )
 
     # ------------------------------------------------------------------
     # Case: exit statements

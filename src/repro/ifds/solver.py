@@ -34,7 +34,11 @@ from typing import (
 )
 
 from repro.ifds.problem import IFDSProblem
-from repro.ifds.worklist import make_worklist, resolve_worklist_order
+from repro.ifds.worklist import (
+    IFDS_DEFAULT_ORDER,
+    make_worklist,
+    resolve_worklist_order,
+)
 from repro.ir.instructions import Instruction
 from repro.ir.program import IRMethod
 from repro.obs import runtime as obs
@@ -78,7 +82,9 @@ class IFDSSolver(Generic[D]):
     ``worklist_order`` mirrors :class:`~repro.ide.solver.IDESolver`:
     ``"fifo"`` (also ``None``), ``"lifo"``, ``"random"`` with
     ``order_seed``, or ``"rpo"`` (see :mod:`repro.ifds.worklist`).  The
-    reachable-fact fixed point is identical for every order.
+    reachable-fact fixed point, and the work to reach it, are identical
+    for every order, so the default is the cheapest queue
+    (:data:`~repro.ifds.worklist.IFDS_DEFAULT_ORDER`).
     """
 
     def __init__(
@@ -87,7 +93,7 @@ class IFDSSolver(Generic[D]):
         worklist_order: Optional[str] = None,
         order_seed: int = 0,
     ) -> None:
-        self._order = resolve_worklist_order(worklist_order)
+        self._order = resolve_worklist_order(worklist_order, IFDS_DEFAULT_ORDER)
         self.problem = problem
         self.icfg = problem.icfg
         self.stats: Dict[str, int] = {

@@ -62,13 +62,14 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.datalog import resolve_engine
 from repro.featuremodel.model import FeatureModel
 from repro.featuremodel.printer import render_feature_model
-from repro.ifds.worklist import resolve_worklist_order
+from repro.ifds.worklist import IDE_DEFAULT_ORDER, resolve_worklist_order
 from repro.ifds.problem import IFDSProblem
 from repro.ir.icfg import ICFG
 from repro.utils.files import read_utf8
@@ -197,7 +198,7 @@ def _sha256_text(text: str) -> str:
 #: may set — each with the check its value must pass.
 JOB_OPTIONS: Dict[str, Callable[[object], object]] = {
     "engine": resolve_engine,
-    "worklist_order": resolve_worklist_order,
+    "worklist_order": partial(resolve_worklist_order, default=IDE_DEFAULT_ORDER),
     "order_seed": int,
 }
 

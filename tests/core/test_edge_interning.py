@@ -7,14 +7,16 @@ cache counters must behave like counters.
 """
 
 import random
+import sys
 
 import pytest
 
-from repro.analyses import TaintAnalysis
+from repro.analyses import ReachingDefinitionsAnalysis, TaintAnalysis
 from repro.constraints import BddConstraintSystem, DnfConstraintSystem
+from repro.constraints.bddsystem import BddConstraint
 from repro.core import SPLLift
-from repro.core.lifting import EdgeFunctionTable
-from repro.spl import figure1
+from repro.core.lifting import EdgeFunctionTable, LiftedProblem
+from repro.spl import figure1, gpl_like
 
 FEATURES = ("F", "G", "H", "K")
 
@@ -171,3 +173,29 @@ class TestCacheCounters:
             assert key in results.stats, key
         assert results.stats["interned_edges"] > 0
         assert results.stats["compose_cache_hits"] >= 0
+
+
+class TestOneConjunctionPerLabel:
+    def test_each_label_meets_the_feature_model_once(self, monkeypatch):
+        """A Figure 4 label depends only on its statement, so a default
+        GPL-like RD solve conjoins each distinct label with the feature
+        model once, not once per exploded edge (Section 4.2)."""
+        product_line = gpl_like()
+        spllift = SPLLift(
+            ReachingDefinitionsAnalysis(product_line.icfg),
+            feature_model=product_line.feature_model,
+        )
+        model = spllift.feature_model
+        edge_code = LiftedProblem._edge.__code__
+        conjoin = BddConstraint.__and__
+        labels = []
+
+        def spy(left, right):
+            if right is model and sys._getframe(1).f_code is edge_code:
+                labels.append(left)
+            return conjoin(left, right)
+
+        monkeypatch.setattr(BddConstraint, "__and__", spy)
+        spllift.solve()
+        assert len(labels) > 10
+        assert len(labels) == len(set(labels))

@@ -15,13 +15,16 @@ from repro.analyses import (
     TaintAnalysis,
     UninitializedVariablesAnalysis,
 )
-from repro.baselines.a2 import A2Problem
+from repro.baselines.a2 import A2Problem, solve_a2
 from repro.core import SPLLift
 from repro.ide import IDESolver
 from repro.ide.binary import ifds_as_ide
 from repro.ide.summaries import summary_cache_for
 from repro.ifds import IFDSSolver
+from repro.ifds import solver as ifds_solver
 from repro.ifds.worklist import (
+    IDE_DEFAULT_ORDER,
+    IFDS_DEFAULT_ORDER,
     WORKLIST_ORDERS,
     BucketQueue,
     RPORanker,
@@ -104,17 +107,49 @@ class TestResolveOrder:
         # Only the argument selects an order; the variable that once did
         # is ignored.
         monkeypatch.setenv("SPLLIFT_WORKLIST_ORDER", "lifo")
-        assert resolve_worklist_order("rpo") == "rpo"
-        assert resolve_worklist_order(None) == "fifo"
+        assert resolve_worklist_order("fifo", IDE_DEFAULT_ORDER) == "fifo"
+        assert resolve_worklist_order("rpo", IFDS_DEFAULT_ORDER) == "rpo"
 
-    def test_fifo_fallback(self):
-        assert resolve_worklist_order(None) == "fifo"
+    def test_none_is_the_solver_default(self):
+        # IDE phase I re-joins, so its order sets its work: rpo.  IFDS
+        # does the same work under every order: the cheapest queue, fifo.
+        assert IDE_DEFAULT_ORDER == "rpo"
+        assert IFDS_DEFAULT_ORDER == "fifo"
+        assert resolve_worklist_order(None, IDE_DEFAULT_ORDER) == "rpo"
+        assert resolve_worklist_order(None, IFDS_DEFAULT_ORDER) == "fifo"
 
     def test_unknown_order_raises(self):
         with pytest.raises(ValueError, match="bogus"):
-            resolve_worklist_order("bogus")
+            resolve_worklist_order("bogus", IDE_DEFAULT_ORDER)
         with pytest.raises(ValueError, match="bogus"):
             make_worklist("bogus", figure1().icfg)
+
+
+class TestDefaultOrders:
+    def test_spllift_solves_rpo(self):
+        product_line = gpl_mini()
+        results = SPLLift(
+            ReachingDefinitionsAnalysis(product_line.icfg),
+            feature_model=product_line.feature_model,
+        ).solve()
+        assert results.stats["worklist_order"] == "rpo"
+
+    def test_ifds_and_a2_solve_fifo(self, monkeypatch):
+        orders = []
+        real = ifds_solver.make_worklist
+
+        def spy(worklist_order, icfg, seed=0):
+            orders.append(worklist_order)
+            return real(worklist_order, icfg, seed)
+
+        monkeypatch.setattr(ifds_solver, "make_worklist", spy)
+        product_line = gpl_mini()
+        IFDSSolver(ReachingDefinitionsAnalysis(product_line.icfg)).solve()
+        solve_a2(
+            ReachingDefinitionsAnalysis(product_line.icfg),
+            frozenset(product_line.features_reachable),
+        )
+        assert orders == ["fifo", "fifo"]
 
 
 class TestMakeWorklist:
@@ -133,8 +168,10 @@ class TestMakeWorklist:
     def test_fifo_pops_in_push_order(self):
         assert self._drain("fifo") == self.ENTRIES
 
-    def test_none_is_fifo(self):
-        assert self._drain(None) == self.ENTRIES
+    def test_unnamed_order_raises(self):
+        # The solvers resolve None to their own default first.
+        with pytest.raises(ValueError, match="None"):
+            make_worklist(None, figure1().icfg)
 
     def test_lifo_pops_newest_first(self):
         assert self._drain("lifo") == self.ENTRIES[::-1]

@@ -246,6 +246,16 @@ class TestEngineLabel:
         assert "jump_functions" in record["stats"]
 
 
+class TestDefaultOrder:
+    def test_stored_record_solves_rpo(self, tmp_path):
+        """A job that names no order solves phase I in rpo, the IDE
+        default, as ``spllift analyze`` does."""
+        store = ResultStore(tmp_path / "store")
+        report = run_batch([_job()], store, use_pool=False)
+        record = store.get(report.outcomes[0].job.digest)
+        assert record["stats"]["worklist_order"] == "rpo"
+
+
 class TestWorkerReporting:
     def test_degraded_inline_reports_one_worker(self, monkeypatch):
         """The workers-reporting regression: a batch whose pool could not

@@ -131,10 +131,14 @@ class TestAnalyze:
                 "--analysis",
                 "taint",
                 "--worklist-order",
-                "rpo",
+                "fifo",
                 "--stats",
             ]
         )
+        assert "worklist_order: fifo" in capsys.readouterr().out
+
+    def test_default_worklist_order_is_rpo(self, spl_file, capsys):
+        main(["analyze", spl_file, "--analysis", "taint", "--stats"])
         assert "worklist_order: rpo" in capsys.readouterr().out
 
     def test_bad_worklist_order_rejected(self, spl_file, capsys):

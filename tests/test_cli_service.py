@@ -494,6 +494,14 @@ class TestCleanErrors:
             capsys, manifest, tmp_path, "--timeout", seconds
         )
 
+    def test_batch_timeout_without_pool(self, manifest, tmp_path, capsys):
+        """An in-process job cannot be stopped, so ``--no-pool`` would
+        run every job to the end whatever ``--timeout`` says."""
+        captured = self._check_batch_option(
+            capsys, manifest, tmp_path, "--timeout", "0.001", "--no-pool"
+        )
+        assert "--no-pool" in captured.err
+
     def test_batch_negative_jobs(self, manifest, tmp_path, capsys):
         captured = self._check_batch_option(
             capsys, manifest, tmp_path, "--jobs", "-3"
