@@ -356,6 +356,16 @@ def _cmd_batch(args) -> int:
     hit_ratio = obs.metrics().hit_ratio("store.get_hits", "store.get_misses")
     if hit_ratio is not None:
         print(f"store hit ratio: {hit_ratio:.2f}")
+    inline = report.executors.get("inline", 0)
+    if args.timeout is not None and inline:
+        # --timeout with --no-pool is refused up front, so an inline job
+        # here means no worker process could start.
+        print(
+            f"spllift: warning: {inline} job(s) ran in-process without "
+            f"the --timeout {args.timeout:g}s bound: no worker process "
+            "could start",
+            file=sys.stderr,
+        )
     if args.report:
         Path(args.report).write_text(
             json.dumps(report.describe(), indent=1, sort_keys=True) + "\n"

@@ -21,7 +21,12 @@ with the experiment campaigns); this module adds the job semantics:
   again);
 - **graceful degradation** — if worker processes cannot be spawned at
   all (restricted environments), the batch falls back to in-process
-  execution with identical results.
+  execution with identical results;
+- **one frontend per source inline** — the jobs a batch runs in-process
+  share their frontend (:func:`~repro.service.worker.shared_frontend`):
+  a job whose source and entry equal the previous job's reuses its IR
+  and ICFG.  The slot lives for one :meth:`BatchScheduler.run` and is
+  emptied when it returns; pool workers parse their own job.
 
 Batches may carry a dependency **DAG** (manifest entries with
 ``id``/``after``, see :class:`~repro.service.jobs.BatchPlan`).  The
@@ -60,7 +65,7 @@ from repro.core.parallel import ProcessTaskPool
 from repro.obs import runtime as obs
 from repro.service.backends.base import RESULT_SCHEMA
 from repro.service.jobs import AnalysisJob, BatchPlan, ServiceError
-from repro.service.worker import execute_job
+from repro.service.worker import execute_job, shared_frontend
 
 __all__ = ["JobOutcome", "BatchReport", "BatchScheduler", "run_batch"]
 
@@ -245,7 +250,7 @@ class BatchScheduler:
             obs.pulse("batch", **fields)
 
         obs.log_event("batch.start", jobs=len(jobs))
-        with obs.tracer().span(
+        with shared_frontend(), obs.tracer().span(
             "service/batch", jobs=len(jobs), run_id=obs.run_id()
         ):
             # Warm path first, dependencies notwithstanding: a cached job

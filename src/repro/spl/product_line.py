@@ -2,7 +2,11 @@
 
 Bundles everything the analyses and the experiment harness need, with
 cached parsing/lowering so repeated analyses share one IR (and therefore
-one set of statement identities).
+one set of statement identities).  A product line built with the IR and
+ICFG of another over the same source and entry (``_ir=``, ``_icfg=``;
+the jobs of an inline batch, :func:`repro.service.worker.shared_frontend`)
+shares them, and parses its source only if its :attr:`~ProductLine.ast`
+is asked for.
 """
 
 from __future__ import annotations
@@ -48,6 +52,11 @@ class ProductLine:
         if self._ast is None:
             self._ast = parse_program(self.source)
         return self._ast
+
+    @property
+    def lowered(self) -> bool:
+        """Whether the IR is held, so :attr:`ir` parses nothing."""
+        return self._ir is not None
 
     @property
     def ir(self) -> IRProgram:

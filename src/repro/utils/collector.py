@@ -9,16 +9,26 @@ every object that is not part of a cycle.  What a unit builds is live
 until the unit ends, so a collection inside it finds almost nothing to
 free, and a full one walks the whole live solver state to find that out.
 
-A job and an ``analyze`` each own one program's lifetime.  When such a
-unit ends, none of its objects has been promoted to an older generation,
-so the first young collection after it looks at what survived once and
-reclaims the unit's own cycles (the IR, the BDD and edge intern tables)
-together.  Memory therefore does not grow across units.
+A lone job, an ``analyze``, or the run of an inline batch's jobs over
+one source each own one program's lifetime.  When a lone job or an
+``analyze`` ends, none of its objects has been promoted to an older
+generation, so the first young collection after it looks at what
+survived once and reclaims the unit's own cycles (the IR, the BDD and
+edge intern tables) together.  The jobs of an inline batch share one
+IR and ICFG per source (:func:`repro.service.worker.shared_frontend`):
+those outlive each job and are promoted, and when a job with another
+source or the end of the batch releases them they wait for a collection
+of the older generation.  Each job's own cycles still die young, and at
+most one shared program is held at a time, so memory does not grow
+across units.
 
 Pausing is safe under two conditions, which every caller keeps:
 
 - a unit drops no cyclic garbage in bulk before it ends (garbage it
-  drops waits for the young collection after the unit);
+  drops waits for the young collection after the unit); a batch job
+  that releases the previous source's shared program is no exception,
+  because that program sits in an older generation, which no young
+  collection would free earlier;
 - a unit never forks: a child forked inside the pause would start with
   the collector off.
 """

@@ -7,22 +7,31 @@ real crash/retry machinery with real SIGKILLed processes.
 """
 
 import time
+from pathlib import Path
 
 import pytest
 
+import repro.spl.product_line
 from repro.obs import runtime as obs
 from repro.service import (
     AnalysisJob,
     BatchScheduler,
     ResultStore,
+    canonical_feature_model_text,
     execute_job,
     expand_lines,
+    load_manifest,
+    paper_campaign_jobs,
     run_batch,
 )
 from repro.service.store import RESULT_SCHEMA
-from repro.spl.examples import FIGURE1_SOURCE
+from repro.spl.examples import FIGURE1_SOURCE, figure1_with_model
 
 BROKEN_SOURCE = "class Main { void main() { this does not parse } }"
+
+SMOKE_MANIFEST = (
+    Path(__file__).resolve().parents[2] / "benchmarks" / "manifests" / "smoke.json"
+)
 
 
 def _job(analysis="taint", **kwargs):
@@ -309,12 +318,119 @@ class TestWorkerReporting:
             assert cpu_spent < 0.5, f"parent burned {cpu_spent:.3f}s CPU"
 
 
+@pytest.fixture
+def parses(monkeypatch):
+    """The sources ``ProductLine`` parses from now on, in order."""
+    sources = []
+    parse = repro.spl.product_line.parse_program
+
+    def spy(source):
+        sources.append(source)
+        return parse(source)
+
+    monkeypatch.setattr(repro.spl.product_line, "parse_program", spy)
+    return sources
+
+
+def _frontend_counts():
+    metrics = obs.metrics()
+    return (
+        metrics.counter_value("worker.frontend_hits"),
+        metrics.counter_value("worker.frontend_misses"),
+    )
+
+
+def _assert_lone_results(report, jobs):
+    """Each job's record equals a lone ``execute_job`` run's, which
+    parses its own program."""
+    assert report.failed == 0
+    for outcome, job in zip(report.outcomes, jobs):
+        record = execute_job(job)
+        assert outcome.result_digest == record["result_digest"], job.label
+        assert outcome.record["stats"] == record["stats"], job.label
+
+
+class TestSharedFrontend:
+    """The jobs of an inline batch share the frontend of the previous
+    job when their source and entry equal its own."""
+
+    @pytest.fixture(autouse=True)
+    def clean_obs(self):
+        obs.reset()
+        yield
+        obs.reset()
+
+    def test_inline_batch_parses_each_source_once(self, parses):
+        jobs = load_manifest(str(SMOKE_MANIFEST))  # 2 sources x 2 analyses
+        report = run_batch(jobs, store=None, use_pool=False)
+        assert parses == [jobs[0].source, jobs[2].source]
+        assert _frontend_counts() == (2, 2)
+        assert obs.metrics().hit_ratio(
+            "worker.frontend_hits", "worker.frontend_misses"
+        ) == 0.5
+        _assert_lone_results(report, jobs)
+
+    def test_pool_workers_parse_their_own_job(self):
+        jobs = load_manifest(str(SMOKE_MANIFEST))
+        report = run_batch(jobs, store=None, use_pool=True)
+        assert report.failed == 0
+        if report.executors == {"pool": 4}:
+            assert _frontend_counts() == (0, 4)
+
+    def test_another_entry_or_source_does_not_share(self, parses):
+        other_source = FIGURE1_SOURCE.replace("int y = 0;", "int y = 1;")
+        jobs = [
+            _job(),
+            _job(entry="Main.foo"),
+            _job(source=other_source),
+        ]
+        report = run_batch(jobs, store=None, use_pool=False)
+        assert parses == [FIGURE1_SOURCE, FIGURE1_SOURCE, other_source]
+        assert _frontend_counts() == (0, 3)
+        _assert_lone_results(report, jobs)
+
+    def test_another_feature_model_shares_and_solves_under_its_own(
+        self, parses
+    ):
+        model = canonical_feature_model_text(figure1_with_model().feature_model)
+        jobs = [_job(), _job(feature_model_text=model)]
+        report = run_batch(jobs, store=None, use_pool=False)
+        assert parses == [FIGURE1_SOURCE]
+        assert _frontend_counts() == (1, 1)
+        _assert_lone_results(report, jobs)
+        assert report.outcomes[0].result_digest != report.outcomes[1].result_digest
+
+    def test_lone_job_owns_its_program(self, parses):
+        execute_job(_job())
+        execute_job(_job())
+        assert len(parses) == 2
+        assert _frontend_counts() == (0, 2)
+
+    def test_a_shared_frontend_keeps_its_spans(self):
+        """A shared frontend's spans close at once, so every job records
+        the same spans in the flight ring."""
+        run_batch([_job(), _job(analysis="uninit")], store=None, use_pool=False)
+        begun = [
+            event["name"]
+            for event in obs.flight().events()
+            if event["kind"] == "span_begin"
+            and event["name"].startswith("frontend/")
+        ]
+        assert begun == ["frontend/parse", "frontend/lower", "frontend/icfg"] * 2
+
+
 class TestCampaignEquivalence:
+    def test_paper_campaign_inline_matches_lone_jobs(self, parses):
+        """The 12-job batch run inline, sharing one frontend per subject,
+        is bit-identical to lone jobs, results and solver counters."""
+        jobs = paper_campaign_jobs()
+        report = run_batch(jobs, store=None, use_pool=False)
+        assert len(parses) == 4
+        _assert_lone_results(report, jobs)
+
     def test_paper_campaign_pool_matches_single_process(self):
         """The acceptance check: the 12-job batch through the pool is
         bit-identical to single-process execution, job by job."""
-        from repro.service import paper_campaign_jobs
-
         jobs = paper_campaign_jobs()
         report = run_batch(jobs, store=None, use_pool=True)
         assert report.failed == 0

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.obs import runtime as obs
 from repro.spl.examples import FIGURE1_SOURCE
 
 
@@ -97,6 +98,43 @@ class TestBatch:
         inline = json.loads(warm.read_text())["jobs"]
         assert [r["result_digest"] for r in pooled] == [
             r["result_digest"] for r in inline
+        ]
+
+    def test_metrics_count_the_jobs_that_parsed(self, manifest, tmp_path, capsys):
+        """Both jobs analyze one source: the second shares the first's
+        frontend."""
+        obs.reset()
+        metrics = tmp_path / "metrics.json"
+        argv = ["batch", manifest, "--no-store", "--no-pool"]
+        assert main(argv + ["--metrics", str(metrics)]) == 0
+        counters = json.loads(metrics.read_text())["metrics"]["counters"]
+        assert counters["worker.frontend_hits"] == 1
+        assert counters["worker.frontend_misses"] == 1
+        obs.reset()
+
+    def test_timeout_the_pool_cannot_enforce_warns(
+        self, manifest, monkeypatch, capsys
+    ):
+        """With no worker process, the jobs run in-process, where no
+        deadline can stop them: the results stand, and one warning says
+        how many jobs ran without the bound."""
+
+        def no_context():
+            raise OSError("processes forbidden")
+
+        monkeypatch.setattr("repro.core.parallel._pool_context", no_context)
+        assert main(["batch", manifest, "--no-store"]) == 0
+        assert "warning" not in capsys.readouterr().err
+        assert main(["batch", manifest, "--no-store", "--timeout", "0.001"]) == 0
+        captured = capsys.readouterr()
+        assert "2 computed" in captured.out and "0 failed" in captured.out
+        assert [
+            line
+            for line in captured.err.splitlines()
+            if line.startswith("spllift: warning:")
+        ] == [
+            "spllift: warning: 2 job(s) ran in-process without the "
+            "--timeout 0.001s bound: no worker process could start"
         ]
 
     def test_failed_job_exits_nonzero(self, tmp_path, cache_dir, capsys):

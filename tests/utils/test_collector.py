@@ -1,6 +1,7 @@
 """The collector policy (repro.utils.collector): the cyclic garbage
 collector is paused for each fixed point, batch job and ``spllift
-analyze``, and a finished job's program dies young."""
+analyze``, a finished lone job's program dies young, and no program of
+an inline batch outlives the batch."""
 
 import gc
 import weakref
@@ -9,6 +10,7 @@ from itertools import islice
 
 import pytest
 
+import repro.service.worker
 import repro.spl.product_line
 from repro.analyses import PossibleTypesAnalysis, TaintAnalysis
 from repro.baselines import solve_a2
@@ -17,7 +19,7 @@ from repro.cli import main
 from repro.core import SPLLift
 from repro.featuremodel import render_feature_model
 from repro.ifds.flowfunctions import FlowFunction
-from repro.service import execute_job, paper_campaign_jobs
+from repro.service import execute_job, paper_campaign_jobs, run_batch
 from repro.spl import figure1, figure1_with_model
 from repro.spl.benchmarks import gpl_like
 from repro.utils import collector
@@ -216,3 +218,51 @@ class TestUnitsDieYoung:
         gc.collect(0)
         assert _alive(lowered_methods) == 0
         assert gc.isenabled()
+
+
+class TestBatchPrograms:
+    """An inline batch keeps one program, the last job's, between its
+    jobs: a job with another source releases it, and so does the end of
+    the batch."""
+
+    @pytest.fixture
+    def jobs(self):
+        return paper_campaign_jobs(
+            subjects=("GPL-like", "MM08-like"),
+            analyses=("possible_types", "uninitialized_variables"),
+        )
+
+    def test_another_source_releases_the_previous_program(
+        self, lowered_methods, jobs, monkeypatch
+    ):
+        alive_at_parse = []
+        parse = repro.spl.product_line.parse_program
+
+        def spy(source):
+            gc.collect()
+            alive_at_parse.append(_alive(lowered_methods))
+            return parse(source)
+
+        monkeypatch.setattr(repro.spl.product_line, "parse_program", spy)
+        report = run_batch(jobs, store=None, use_pool=False)
+        assert report.failed == 0
+        assert alive_at_parse == [0, 0]
+
+    @pytest.mark.parametrize("failing", [None, 1, 3])
+    def test_no_program_outlives_its_batch(
+        self, lowered_methods, jobs, monkeypatch, failing
+    ):
+        """Also when a job raises with its program in the slot."""
+        build = repro.service.worker.build_record
+
+        def build_or_fail(job, results, solve_seconds):
+            if failing is not None and job is jobs[failing]:
+                raise RuntimeError("record failed")
+            return build(job, results, solve_seconds)
+
+        monkeypatch.setattr(repro.service.worker, "build_record", build_or_fail)
+        report = run_batch(jobs, store=None, use_pool=False)
+        assert report.failed == (failing is not None)
+        assert lowered_methods
+        gc.collect()
+        assert _alive(lowered_methods) == 0
