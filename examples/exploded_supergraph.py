@@ -45,15 +45,9 @@ def main() -> None:
     analysis = TaintAnalysis(product_line.icfg)
     lifted = LiftedProblem(analysis, system)
 
-    def constraint_label(kind, stmt, fact, succ, succ_fact) -> str:
-        if kind == "normal":
-            edge = lifted.edge_normal(stmt, fact, succ, succ_fact)
-        elif kind == "call-to-return":
-            edge = lifted.edge_call_to_return(stmt, fact, succ, succ_fact)
-        else:
-            # call/return edges: label with the call's annotation
-            constraint = lifted.constraint_of(stmt)
-            return "" if constraint.is_true else str(constraint)
+    def constraint_label(edge) -> str:
+        # Each lifted edge function is λc. c ∧ label; unconditional edges
+        # (label true) stay unlabelled.
         constraint = edge.constraint
         return "" if constraint.is_true else str(constraint)
 

@@ -11,6 +11,9 @@ and edge functions are *affine* transformers ``λv. a·v + b`` (plus the
 absorbing all-⊥), which are closed under composition and — conservatively
 — under join (unequal transformers join to all-⊥; the textbook refinement
 with pointwise meets is not needed for the reproduction's purposes).
+Each flow function maps every target fact to its edge's transformer (the
+contract of :mod:`repro.ide.problem`), so the case that makes a fact flow
+also says what its value becomes.
 
 Included for two reasons: it exercises the IDE solver with a genuinely
 different edge-function algebra than SPLLIFT's constraints, and it shows
@@ -21,12 +24,12 @@ where SPLLIFT's transparent lifting stops — an analysis that already
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Tuple, Union
+from typing import Callable, Dict, Optional, Tuple, Union
 
 from repro.analyses.facts import LocalFact
 from repro.ide.edgefunctions import AllTop, EdgeFunction
-from repro.ide.problem import IDEProblem
-from repro.ifds.flowfunctions import FlowFunction, Identity, Lambda
+from repro.ide.problem import IDEProblem, UniformEdges
+from repro.ifds.flowfunctions import FlowFunction, Identity
 from repro.ifds.problem import ZERO
 from repro.ir.instructions import (
     Assign,
@@ -141,6 +144,24 @@ class AllBottomEdge(EdgeFunction[CPValue]):
 _IDENTITY_EDGE = AffineEdge(1, 0)
 
 
+def _constant_edge(value: object) -> EdgeFunction[CPValue]:
+    """The edge that generates a constant: ``λv. value`` for an integer,
+    ⊥ for anything else (booleans, null, a non-constant expression)."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return AffineEdge(0, value)
+    return AllBottomEdge()
+
+
+class _Edges(FlowFunction):
+    """A flow given by a callable ``fact -> {target: edge function}``."""
+
+    def __init__(self, function: Callable[[object], Dict]) -> None:
+        self.function = function
+
+    def compute_targets(self, fact) -> Dict:
+        return self.function(fact)
+
+
 def _join_values(left: CPValue, right: CPValue) -> CPValue:
     if left is TOP:
         return right
@@ -234,51 +255,55 @@ class ConstantPropagation(IDEProblem):
         }
 
     # ------------------------------------------------------------------
-    # Flow functions (which facts exist)
+    # Flow functions: each target fact with its edge function
     # ------------------------------------------------------------------
 
     def normal_flow(self, stmt: Instruction, succ: Instruction) -> FlowFunction:
         if not isinstance(stmt, Assign):
-            return Identity()
+            return UniformEdges(Identity(), _IDENTITY_EDGE)
         target = LocalFact(stmt.target)
         linear = _linear_of(stmt.rvalue)
+        if linear is None:
+            source, assigned = None, AllBottomEdge()
+        else:
+            source, assigned = linear[0], AffineEdge(linear[1], linear[2])
 
-        def flow(fact) -> Iterable:
+        def flow(fact) -> Dict:
             if fact is ZERO:
                 # The target is tracked from the zero fact whenever its
                 # new value does not come from another tracked local.
-                if linear is None or linear[0] is None:
-                    return (ZERO, target)
-                return (ZERO,)
+                if source is None:
+                    return {ZERO: _IDENTITY_EDGE, target: assigned}
+                return {ZERO: _IDENTITY_EDGE}
             if fact == target:
-                if linear is not None and linear[0] == stmt.target:
-                    return (fact,)  # x = a·x + b keeps tracking x
-                return ()
-            if linear is not None and linear[0] == fact.name:
-                return (fact, target)
-            return (fact,)
+                if source == stmt.target:
+                    return {fact: assigned}  # x = a·x + b keeps tracking x
+                return {}
+            if source == fact.name:
+                return {fact: _IDENTITY_EDGE, target: assigned}
+            return {fact: _IDENTITY_EDGE}
 
-        return Lambda(flow)
+        return _Edges(flow)
 
     def call_flow(self, call: Invoke, callee: IRMethod) -> FlowFunction:
-        args = call.args
-        params = callee.params
+        pairs = tuple(zip(call.args, callee.params))
 
-        def flow(fact) -> Iterable:
+        def flow(fact) -> Dict:
             if fact is ZERO:
-                constants = [
-                    LocalFact(param)
-                    for arg, param in zip(args, params)
-                    if isinstance(arg, Const)
-                ]
-                return (ZERO, *constants)
-            targets = []
-            for arg, param in zip(args, params):
-                if isinstance(arg, LocalRef) and fact == LocalFact(arg.name):
-                    targets.append(LocalFact(param))
-            return targets
+                # A constant actual generates its formal's fact, with
+                # the constant's value (⊥ for a non-integer constant).
+                targets = {ZERO: _IDENTITY_EDGE}
+                for arg, param in pairs:
+                    if isinstance(arg, Const):
+                        targets[LocalFact(param)] = _constant_edge(arg.value)
+                return targets
+            return {
+                LocalFact(param): _IDENTITY_EDGE
+                for arg, param in pairs
+                if isinstance(arg, LocalRef) and fact == LocalFact(arg.name)
+            }
 
-        return Lambda(flow)
+        return _Edges(flow)
 
     def return_flow(
         self,
@@ -290,94 +315,38 @@ class ConstantPropagation(IDEProblem):
         result = call.result
         returned = exit_stmt.value if isinstance(exit_stmt, Return) else None
 
-        def flow(fact) -> Iterable:
+        def flow(fact) -> Dict:
             if fact is ZERO:
                 if result is not None and not isinstance(returned, LocalRef):
-                    return (ZERO, LocalFact(result))
-                return (ZERO,)
+                    returned_value = (
+                        returned.value if isinstance(returned, Const) else None
+                    )
+                    return {
+                        ZERO: _IDENTITY_EDGE,
+                        LocalFact(result): _constant_edge(returned_value),
+                    }
+                return {ZERO: _IDENTITY_EDGE}
             if (
                 result is not None
                 and isinstance(returned, LocalRef)
                 and fact == LocalFact(returned.name)
             ):
-                return (LocalFact(result),)
-            return ()
+                return {LocalFact(result): _IDENTITY_EDGE}
+            return {}
 
-        return Lambda(flow)
+        return _Edges(flow)
 
     def call_to_return_flow(self, call: Invoke, return_site: Instruction) -> FlowFunction:
         result = call.result
 
-        def flow(fact) -> Iterable:
+        def flow(fact) -> Dict:
             if fact is ZERO:
-                return (ZERO,)
+                return {ZERO: _IDENTITY_EDGE}
             if result is not None and fact == LocalFact(result):
-                return ()
-            return (fact,)
+                return {}
+            return {fact: _IDENTITY_EDGE}
 
-        return Lambda(flow)
-
-    # ------------------------------------------------------------------
-    # Edge functions (what the edges compute)
-    # ------------------------------------------------------------------
-
-    def edge_normal(
-        self, stmt: Instruction, stmt_fact, succ: Instruction, succ_fact
-    ) -> EdgeFunction[CPValue]:
-        if not isinstance(stmt, Assign):
-            return _IDENTITY_EDGE
-        target = LocalFact(stmt.target)
-        if succ_fact != target or stmt_fact == succ_fact == target:
-            # Either an untouched fact flowing through, or x = a·x + b.
-            if succ_fact == target and stmt_fact == target:
-                linear = _linear_of(stmt.rvalue)
-                if linear is not None and linear[0] == stmt.target:
-                    return AffineEdge(linear[1], linear[2])
-            return _IDENTITY_EDGE
-        linear = _linear_of(stmt.rvalue)
-        if linear is None:
-            return AllBottomEdge()
-        source, a, b = linear
-        if source is None:
-            return AffineEdge(0, b)  # constant, generated from zero
-        return AffineEdge(a, b)  # linear in the source fact
-
-    def edge_call(
-        self, call: Invoke, call_fact, callee: IRMethod, entry_fact
-    ) -> EdgeFunction[CPValue]:
-        if call_fact is ZERO and entry_fact != ZERO:
-            # A constant actual generated the formal's fact.
-            for arg, param in zip(call.args, callee.params):
-                if LocalFact(param) == entry_fact and isinstance(arg, Const):
-                    if isinstance(arg.value, int) and not isinstance(arg.value, bool):
-                        return AffineEdge(0, arg.value)
-            return AllBottomEdge()
-        return _IDENTITY_EDGE
-
-    def edge_return(
-        self,
-        call: Invoke,
-        callee: IRMethod,
-        exit_stmt: Instruction,
-        exit_fact,
-        return_site: Instruction,
-        return_fact,
-    ) -> EdgeFunction[CPValue]:
-        if exit_fact is ZERO and return_fact != ZERO:
-            returned = exit_stmt.value if isinstance(exit_stmt, Return) else None
-            if (
-                isinstance(returned, Const)
-                and isinstance(returned.value, int)
-                and not isinstance(returned.value, bool)
-            ):
-                return AffineEdge(0, returned.value)
-            return AllBottomEdge()
-        return _IDENTITY_EDGE
-
-    def edge_call_to_return(
-        self, call: Invoke, call_fact, return_site: Instruction, return_fact
-    ) -> EdgeFunction[CPValue]:
-        return _IDENTITY_EDGE
+        return _Edges(flow)
 
     # ------------------------------------------------------------------
     # Reporting

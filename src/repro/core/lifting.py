@@ -21,25 +21,32 @@ composition along a path conjoins, merging paths disjoins (Section 3.4).
 0-edges are conditionalized like any other edge, so the analysis computes
 reachability constraints as a side effect (Section 3.5).
 
+Each lifted flow function maps its targets to their edge functions (the
+contract of :mod:`repro.ide.problem`), so the case that makes an exploded
+edge exist is the case that labels it: the wrapped analysis' flow is
+applied once per fact, and a target of the enabled flow alone reads
+``F``, the fact kept by the disabled identity alone ``¬F``.
+
 With a feature model ``m`` (Section 4.2), every edge label ``f`` becomes
 ``f ∧ m``; contradictions reduce to ``false`` (= the all-top edge
 function), which the IDE solver drops — terminating infeasible paths
 already during the jump-function construction phase.  A label depends
-only on its statement, so each distinct label is conjoined with ``m``
-(and each condition negated) once per problem, not once per exploded
+only on its statement (a return edge's on its call and exit), so each
+distinct label is conjoined with ``m`` (and each condition negated) once
+per problem, on the first edge that carries it, not once per exploded
 edge.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Optional, TypeVar
+from typing import Callable, Dict, Hashable, Optional, Tuple, TypeVar
 
 from repro.constraints.base import Constraint, ConstraintSystem
 from repro.constraints.formula import Formula
 from repro.core.icfg import LiftedICFG
 from repro.ide.edgefunctions import AllTop, EdgeFunction
-from repro.ide.problem import IDEProblem
-from repro.ifds.flowfunctions import FlowFunction, Identity, Union
+from repro.ide.problem import IDEProblem, UniformEdges
+from repro.ifds.flowfunctions import FlowFunction, Identity
 from repro.ifds.problem import IFDSProblem
 from repro.ir.instructions import Goto, If, Instruction, Return
 from repro.ir.program import IRMethod
@@ -194,9 +201,9 @@ class LiftedProblem(IDEProblem[D, Constraint]):
     """The automatic IFDS→IDE conversion (the ``SPLLIFT`` transformation).
 
     Wraps an unmodified :class:`~repro.ifds.problem.IFDSProblem`; the
-    wrapped analysis' flow functions are consulted for the enabled case of
-    every statement, and this class supplies the Figure 4 rules plus the
-    constraint edge functions.
+    wrapped analysis' flow functions give the enabled case of every
+    statement, and this class labels each of their targets (and the
+    disabled case's) by the Figure 4 rule for the statement's class.
     """
 
     def __init__(
@@ -224,12 +231,13 @@ class LiftedProblem(IDEProblem[D, Constraint]):
         )
         self._formula_cache: Dict[Formula, Constraint] = {}
         self._declare_annotation_variables()
-        self._inner_flow_cache: Dict[tuple, object] = {}
         self.edge_table = EdgeFunctionTable(system)
-        # label -> its interned edge (label ∧ m), and condition -> ¬condition;
-        # both filled as the solver asks, so no unused edge is built.
+        # label -> its interned edge (label ∧ m), condition -> ¬condition and
+        # (call, exit) -> the return edge; filled on the first edge that
+        # carries each label, so no unused edge is built.
         self._label_edges: Dict[Constraint, ConstraintEdge] = {}
         self._negations: Dict[Constraint, Constraint] = {}
+        self._return_edges: Dict[Tuple[Instruction, Instruction], ConstraintEdge] = {}
         self._true_edge = self._edge(system.true)
         self._seed_edge = self.edge_table.edge(system.true)
 
@@ -307,6 +315,18 @@ class LiftedProblem(IDEProblem[D, Constraint]):
             negated = self._negations[condition] = ~condition
         return negated
 
+    def _return_edge(self, call: Instruction, exit_stmt: Instruction) -> ConstraintEdge:
+        """The edge for ``call ∧ exit_stmt``, built once per pair: the flow
+        happens only if the call occurs *and* the exit statement itself is
+        enabled (a disabled annotated return falls through instead)."""
+        key = (call, exit_stmt)
+        edge = self._return_edges.get(key)
+        if edge is None:
+            edge = self._return_edges[key] = self._edge(
+                self.constraint_of(call) & self.constraint_of(exit_stmt)
+            )
+        return edge
+
     def edge_cache_stats(self) -> Dict[str, int]:
         """Edge-algebra and BDD substrate counters (merged into
         ``IDESolver.stats``)."""
@@ -352,39 +372,39 @@ class LiftedProblem(IDEProblem[D, Constraint]):
         }
 
     # ------------------------------------------------------------------
-    # Flow functions: which exploded-graph edges exist (f_F ∨ f_¬F)
+    # Flow functions: each exploded edge with its label (f_F ∨ f_¬F)
     # ------------------------------------------------------------------
 
     def normal_flow(self, stmt: Instruction, succ: Instruction) -> FlowFunction[D]:
         if stmt.annotation is None:
             if isinstance(stmt, Return):
                 # Unannotated returns have no successors; nothing to do.
-                return Identity()
-            return self.inner.normal_flow(stmt, succ)
-        fall_through = LiftedICFG.fall_through_of(stmt)
-        target = LiftedICFG.branch_target_of(stmt)
-        if isinstance(stmt, Goto):
-            # Enabled: flow to the target only; disabled: fall through.
-            flows = []
-            if succ is target:
-                flows.append(self.inner.normal_flow(stmt, succ))
-            if succ is fall_through:
-                flows.append(Identity())
-            return _union(flows)
-        if isinstance(stmt, If):
-            if succ is target and succ is not fall_through:
-                return self.inner.normal_flow(stmt, succ)
-            # Fall-through: enabled normal flow or disabled identity.
-            return _union([self.inner.normal_flow(stmt, succ), Identity()])
-        if isinstance(stmt, Return):
-            # Only reached for annotated returns: disabled → fall through.
-            return Identity()
-        # Normal statement: enabled effect or disabled identity (Fig. 4a).
-        return _union([self.inner.normal_flow(stmt, succ), Identity()])
+                return UniformEdges(Identity(), self._true_edge)
+            return UniformEdges(self.inner.normal_flow(stmt, succ), self._true_edge)
+        condition = self.constraint_of(stmt)
+        if isinstance(stmt, Return) or (
+            isinstance(stmt, Goto) and succ is not LiftedICFG.branch_target_of(stmt)
+        ):
+            # Disabled: a return or goto falls through (Fig. 4b).
+            return _Labelled(
+                Identity(), lambda: self._edge(self._negation(condition))
+            )
+        if isinstance(stmt, (Goto, If)) and succ is not LiftedICFG.fall_through_of(stmt):
+            # Branch taken: only possible when enabled (Figs. 4b, 4c).
+            return _Labelled(
+                self.inner.normal_flow(stmt, succ), lambda: self._edge(condition)
+            )
+        # Enabled effect or disabled identity: a normal statement (Fig. 4a)
+        # or a branch's fall-through (Fig. 4c).
+        return _EnabledOrIdentity(self.inner.normal_flow(stmt, succ), self, condition)
 
     def call_flow(self, call: Instruction, callee: IRMethod) -> FlowFunction[D]:
         # Disabled case is kill-all (Fig. 4d), which adds no edges.
-        return self.inner.call_flow(call, callee)
+        flow = self.inner.call_flow(call, callee)
+        if call.annotation is None:
+            return UniformEdges(flow, self._true_edge)
+        condition = self.constraint_of(call)
+        return _Labelled(flow, lambda: self._edge(condition))
 
     def return_flow(
         self,
@@ -394,119 +414,65 @@ class LiftedProblem(IDEProblem[D, Constraint]):
         return_site: Instruction,
     ) -> FlowFunction[D]:
         # Disabled case is kill-all (Fig. 4d).
-        return self.inner.return_flow(call, callee, exit_stmt, return_site)
+        flow = self.inner.return_flow(call, callee, exit_stmt, return_site)
+        if call.annotation is None and exit_stmt.annotation is None:
+            return UniformEdges(flow, self._true_edge)
+        return _Labelled(flow, lambda: self._return_edge(call, exit_stmt))
 
     def call_to_return_flow(
         self, call: Instruction, return_site: Instruction
     ) -> FlowFunction[D]:
-        inner_flow = self.inner.call_to_return_flow(call, return_site)
+        flow = self.inner.call_to_return_flow(call, return_site)
         if call.annotation is None:
-            return inner_flow
+            return UniformEdges(flow, self._true_edge)
         # Enabled: the analysis' call-to-return flow; disabled: identity
         # (the call does not happen, locals survive unchanged) — Fig. 4a.
-        return _union([inner_flow, Identity()])
-
-    # ------------------------------------------------------------------
-    # Edge functions: the constraint labels of Figure 4
-    # ------------------------------------------------------------------
-
-    def edge_normal(
-        self, stmt: Instruction, stmt_fact: D, succ: Instruction, succ_fact: D
-    ) -> EdgeFunction[Constraint]:
-        if stmt.annotation is None:
-            return self._true_edge
-        condition = self.constraint_of(stmt)
-        fall_through = LiftedICFG.fall_through_of(stmt)
-        target = LiftedICFG.branch_target_of(stmt)
-        if isinstance(stmt, Goto):
-            enabled = succ is target and self._in_inner_normal(
-                stmt, stmt_fact, succ, succ_fact
-            )
-            disabled = succ is fall_through and succ_fact == stmt_fact
-            return self._label(condition, enabled, disabled)
-        if isinstance(stmt, If):
-            if succ is target and succ is not fall_through:
-                # Branch taken: only possible when enabled (Fig. 4c).
-                return self._edge(condition)
-            enabled = self._in_inner_normal(stmt, stmt_fact, succ, succ_fact)
-            disabled = succ_fact == stmt_fact
-            return self._label(condition, enabled, disabled)
-        if isinstance(stmt, Return):
-            # Synthetic fall-through edge: the disabled case only.
-            return self._edge(self._negation(condition))
-        enabled = self._in_inner_normal(stmt, stmt_fact, succ, succ_fact)
-        disabled = succ_fact == stmt_fact
-        return self._label(condition, enabled, disabled)
-
-    def _in_inner_normal(
-        self, stmt: Instruction, stmt_fact: D, succ: Instruction, succ_fact: D
-    ) -> bool:
-        # One flow-function construction per (stmt, succ), not per exploded
-        # edge — inner analyses build a fresh object on every call.
-        key = (stmt, succ)
-        flow = self._inner_flow_cache.get(key)
-        if flow is None:
-            flow = self._inner_flow_cache[key] = self.inner.normal_flow(stmt, succ)
-        return succ_fact in flow.compute_targets(stmt_fact)
-
-    def _label(
-        self, condition: Constraint, enabled: bool, disabled: bool
-    ) -> EdgeFunction[Constraint]:
-        """Combine the enabled-case label ``F`` and disabled-case label
-        ``¬F`` for one edge; present in both cases means ``true``."""
-        if enabled and disabled:
-            return self._true_edge
-        if enabled:
-            return self._edge(condition)
-        if disabled:
-            return self._edge(self._negation(condition))
-        # The solver only asks for edges produced by the flow functions,
-        # so at least one case must apply.
-        raise AssertionError("edge label requested for a non-existent edge")
-
-    def edge_call(
-        self, call: Instruction, call_fact: D, callee: IRMethod, entry_fact: D
-    ) -> EdgeFunction[Constraint]:
-        if call.annotation is None:
-            return self._true_edge
-        return self._edge(self.constraint_of(call))
-
-    def edge_return(
-        self,
-        call: Instruction,
-        callee: IRMethod,
-        exit_stmt: Instruction,
-        exit_fact: D,
-        return_site: Instruction,
-        return_fact: D,
-    ) -> EdgeFunction[Constraint]:
-        # The flow happens only if the call occurs *and* the exit statement
-        # itself is enabled (an annotated return that is disabled falls
-        # through instead of returning).
-        label = self.constraint_of(call) & self.constraint_of(exit_stmt)
-        if label.is_true:
-            return self._true_edge
-        return self._edge(label)
-
-    def edge_call_to_return(
-        self, call: Instruction, call_fact: D, return_site: Instruction, return_fact: D
-    ) -> EdgeFunction[Constraint]:
-        if call.annotation is None:
-            return self._true_edge
-        condition = self.constraint_of(call)
-        flow = self.inner.call_to_return_flow(call, return_site)
-        enabled = return_fact in flow.compute_targets(call_fact)
-        disabled = return_fact == call_fact
-        return self._label(condition, enabled, disabled)
+        return _EnabledOrIdentity(flow, self, self.constraint_of(call))
 
 
-def _union(flows) -> FlowFunction:
-    """Union of flow functions, avoiding the wrapper for a single one."""
-    flows = [flow for flow in flows if flow is not None]
-    if not flows:
-        from repro.ifds.flowfunctions import KillAll
+class _Labelled(FlowFunction):
+    """A lifted flow whose every edge carries one label: each target of
+    ``flow`` maps to the edge ``label()`` returns.  ``label`` runs only
+    when an edge exists, so a label that no edge carries is never built."""
 
-        return KillAll()
-    if len(flows) == 1:
-        return flows[0]
-    return Union(*flows)
+    __slots__ = ("flow", "label")
+
+    def __init__(self, flow: FlowFunction, label: Callable[[], ConstraintEdge]) -> None:
+        self.flow = flow
+        self.label = label
+
+    def compute_targets(self, fact) -> Dict[object, ConstraintEdge]:
+        targets = self.flow.compute_targets(fact)
+        return dict.fromkeys(targets, self.label()) if targets else {}
+
+
+class _EnabledOrIdentity(FlowFunction):
+    """``f_F ∨ f_¬F`` where the disabled case is the identity (Fig. 4a):
+    a target of the enabled flow alone is labelled ``F``, the fact alone
+    ``¬F``, and a target of both ``true``.  The enabled flow is applied
+    once per fact, and a label is asked for only when an edge carries it."""
+
+    __slots__ = ("enabled", "problem", "condition")
+
+    def __init__(
+        self, enabled: FlowFunction, problem: LiftedProblem, condition: Constraint
+    ) -> None:
+        self.enabled = enabled
+        self.problem = problem
+        self.condition = condition
+
+    def compute_targets(self, fact) -> Dict[object, ConstraintEdge]:
+        enabled = self.enabled.compute_targets(fact)
+        # Built as ``Union(enabled, Identity())`` builds it, so the targets
+        # iterate in the same order.
+        targets = frozenset() | enabled | {fact}
+        problem = self.problem
+        if fact in enabled:
+            own = problem._true_edge
+        else:
+            own = problem._edge(problem._negation(self.condition))
+        if len(targets) == 1:
+            return dict.fromkeys(targets, own)
+        edges = dict.fromkeys(targets, problem._edge(self.condition))
+        edges[fact] = own
+        return edges

@@ -30,6 +30,10 @@ with the IDE flow cases as rules (labels written ``L⋅``):
                 summary_edge(call, d2, rs, d5) @ s ⟹
                 path_edge(d1, rs, d5) @ c ∧ s``.
 
+Each label is the constraint of the edge function the lifted flow maps
+the target to, so one flow application derives a tuple together with
+its presence condition, as in lifted Datalog.
+
 The five rules are mutually recursive, so they form one stratum;
 evaluation is semi-naive over the engine's delta stores.  The fixpoint
 is the same mathematical object phase I of :class:`IDESolver` computes,
@@ -64,9 +68,9 @@ class DatalogSolver:
     """Solve a :class:`~repro.core.lifting.LiftedProblem` by rule
     evaluation instead of tabulation.
 
-    The problem's edge functions must be ``λc. c ∧ A`` constants (which
-    every lifted problem's are); their ``constraint`` attribute is the
-    tuple annotation the rules conjoin.
+    The problem's flows map each target to a ``λc. c ∧ A`` edge (every
+    lifted problem's do); its ``constraint`` attribute is the label the
+    rules conjoin, read off the targets with the facts themselves.
     """
 
     def __init__(self, problem) -> None:
@@ -80,8 +84,10 @@ class DatalogSolver:
         # Join indexes, maintained by first-insertion hooks:
         # (callee, entry fact) -> [(exit stmt, exit fact)]
         self._exit_index: Dict[Tuple[IRMethod, D], List[Tuple[Instruction, D]]] = {}
-        # (callee, entry fact) -> [(call, call fact)]
-        self._context_index: Dict[Tuple[IRMethod, D], List[Tuple[Instruction, D]]] = {}
+        # (callee, entry fact) -> [(call, call fact, call label)]
+        self._context_index: Dict[
+            Tuple[IRMethod, D], List[Tuple[Instruction, D, Constraint]]
+        ] = {}
         # (call, call fact) -> [caller source fact d1]
         self._caller_index: Dict[Tuple[Instruction, D], List[D]] = {}
         # (call, call fact) -> [(return site, d5)]
@@ -121,9 +127,8 @@ class DatalogSolver:
             entries = []
             for succ in self.icfg.successors_of(n):
                 flow = problem.normal_flow(n, succ)
-                for d3 in flow.compute_targets(d2):
-                    label = problem.edge_normal(n, d2, succ, d3).constraint
-                    entries.append((succ, d3, label))
+                for d3, edge in flow.compute_targets(d2).items():
+                    entries.append((succ, d3, edge.constraint))
             exploded = self._normal_cache[key] = tuple(entries)
         return exploded
 
@@ -135,26 +140,27 @@ class DatalogSolver:
             entries = []
             for return_site in self.icfg.return_sites_of(call):
                 flow = problem.call_to_return_flow(call, return_site)
-                for d3 in flow.compute_targets(d2):
-                    label = problem.edge_call_to_return(
-                        call, d2, return_site, d3
-                    ).constraint
-                    entries.append((return_site, d3, label))
+                for d3, edge in flow.compute_targets(d2).items():
+                    entries.append((return_site, d3, edge.constraint))
             exploded = self._c2r_cache[key] = tuple(entries)
         return exploded
 
     def _call_targets(self, call: Instruction, d2: D) -> tuple:
-        """``(callee, callee start, entry facts)`` triples for ``(call, d2)``."""
+        """``(callee, callee start, ((entry fact, call label), ...))``
+        triples for ``(call, d2)``."""
         key = (call, d2)
         targets = self._call_cache.get(key)
         if targets is None:
             entries = []
             for callee in self.icfg.callees_of(call):
                 flow = self.problem.call_flow(call, callee)
-                entry_facts = tuple(flow.compute_targets(d2))
-                if entry_facts:
+                entry_labels = tuple(
+                    (d3, edge.constraint)
+                    for d3, edge in flow.compute_targets(d2).items()
+                )
+                if entry_labels:
                     entries.append(
-                        (callee, self.icfg.start_point_of(callee), entry_facts)
+                        (callee, self.icfg.start_point_of(callee), entry_labels)
                     )
             targets = self._call_cache[key] = tuple(entries)
         return targets
@@ -169,11 +175,8 @@ class DatalogSolver:
             entries = []
             for return_site in self.icfg.return_sites_of(call):
                 flow = problem.return_flow(call, callee, exit_stmt, return_site)
-                for d5 in flow.compute_targets(d4):
-                    label = problem.edge_return(
-                        call, callee, exit_stmt, d4, return_site, d5
-                    ).constraint
-                    entries.append((return_site, d5, label))
+                for d5, edge in flow.compute_targets(d4).items():
+                    entries.append((return_site, d5, edge.constraint))
             exploded = self._return_cache[key] = tuple(entries)
         return exploded
 
@@ -198,12 +201,12 @@ class DatalogSolver:
 
     def _index_call_fact(self, key) -> None:
         call, d2 = key
-        for callee, _start, entry_facts in self._call_targets(call, d2):
-            for d3 in entry_facts:
+        for callee, _start, entry_labels in self._call_targets(call, d2):
+            for d3, label in entry_labels:
                 contexts = self._context_index.get((callee, d3))
                 if contexts is None:
                     contexts = self._context_index[(callee, d3)] = []
-                contexts.append((call, d2))
+                contexts.append((call, d2, label))
 
     def _index_summary_edge(self, key) -> None:
         call, d2, return_site, d5 = key
@@ -241,15 +244,10 @@ class DatalogSolver:
         for (d1, n, d2), _c in delta.items():
             if self._kind(n) != _CALL:
                 continue
-            for _callee, start, entry_facts in self._call_targets(n, d2):
-                for d3 in entry_facts:
+            for _callee, start, entry_labels in self._call_targets(n, d2):
+                for d3, _label in entry_labels:
                     seed((d3, start, d3), true)
             fact((n, d2), true)
-
-    def _call_label(
-        self, call: Instruction, d2: D, callee: IRMethod, d3: D
-    ) -> Constraint:
-        return self.problem.edge_call(call, d2, callee, d3).constraint
 
     def _fire_summary(self, relation, delta) -> None:
         """Derive summary edges; fired from either side of the join."""
@@ -258,15 +256,12 @@ class DatalogSolver:
             # New call contexts against all stored exit path edges.
             pe = self.path_edges.tuples
             for (call, d2) in delta:
-                for callee, _start, entry_facts in self._call_targets(call, d2):
-                    for d3 in entry_facts:
-                        label_call = None
+                for callee, _start, entry_labels in self._call_targets(call, d2):
+                    for d3, label_call in entry_labels:
                         for exit_stmt, d4 in self._exit_index.get(
                             (callee, d3), ()
                         ):
                             c_exit = pe[(d3, exit_stmt, d4)]
-                            if label_call is None:
-                                label_call = self._call_label(call, d2, callee, d3)
                             for rs, d5, label_ret in self._return_exploded(
                                 call, callee, exit_stmt, d4
                             ):
@@ -281,8 +276,9 @@ class DatalogSolver:
             if kind != _EXIT and kind != _EXIT_FLOW:
                 continue
             callee = self.icfg.method_of(n)
-            for call, call_fact in self._context_index.get((callee, d1), ()):
-                label_call = self._call_label(call, call_fact, callee, d1)
+            for call, call_fact, label_call in self._context_index.get(
+                (callee, d1), ()
+            ):
                 for rs, d5, label_ret in self._return_exploded(
                     call, callee, n, d2
                 ):
@@ -404,9 +400,8 @@ class DatalogSolver:
                         if set_value(call, d2, value & c):
                             worklist.append((call, d2))
             if icfg.is_call(n):
-                for callee, start, entry_facts in self._call_targets(n, d):
-                    for d3 in entry_facts:
-                        label = self._call_label(n, d, callee, d3)
+                for _callee, start, entry_labels in self._call_targets(n, d):
+                    for d3, label in entry_labels:
                         if set_value(start, d3, value & label):
                             worklist.append((start, d3))
 

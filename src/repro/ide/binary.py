@@ -5,6 +5,8 @@ framework using a binary domain {⊤, ⊥} where d ↦ ⊥ states that data-flow
 fact d holds at the current statement" (Section 2.4 of the paper).  Here
 ``⊥`` is ``True`` ("holds") and ``⊤`` is ``False``.
 
+Every edge computes the identity, so each flow maps the IFDS flow's
+targets to the identity edge (:class:`~repro.ide.problem.UniformEdges`).
 Used by the test suite to validate the IDE solver against the direct IFDS
 tabulation solver: both must compute identical fact sets.
 """
@@ -14,9 +16,8 @@ from __future__ import annotations
 from typing import Dict, Hashable, TypeVar
 
 from repro.ide.edgefunctions import AllTop, EdgeFunction, IdentityEdge
-from repro.ide.problem import IDEProblem
+from repro.ide.problem import IDEProblem, UniformEdges
 from repro.ide.solver import IDEResults, IDESolver
-from repro.ifds.flowfunctions import FlowFunction
 from repro.ifds.problem import IFDSProblem
 from repro.ir.instructions import Instruction
 from repro.ir.program import IRMethod
@@ -42,25 +43,30 @@ class BinaryIDEProblem(IDEProblem[D, bool]):
         return self._all_top
 
     def seed_edge_function(self) -> EdgeFunction[bool]:
-        # The shared identity singleton; every edge below returns it too,
+        # The shared identity singleton; every edge below carries it too,
         # so compositions never allocate in the binary embedding.
         return _IDENTITY
 
-    # Facts and flows delegate unchanged.
+    # Facts delegate unchanged; every existing edge computes the identity.
     def initial_seeds(self):
         return self.ifds_problem.initial_seeds()
 
-    def normal_flow(self, stmt: Instruction, succ: Instruction) -> FlowFunction[D]:
-        return self.ifds_problem.normal_flow(stmt, succ)
+    def normal_flow(self, stmt: Instruction, succ: Instruction) -> UniformEdges[D]:
+        return UniformEdges(self.ifds_problem.normal_flow(stmt, succ), _IDENTITY)
 
-    def call_flow(self, call: Instruction, callee: IRMethod) -> FlowFunction[D]:
-        return self.ifds_problem.call_flow(call, callee)
+    def call_flow(self, call: Instruction, callee: IRMethod) -> UniformEdges[D]:
+        return UniformEdges(self.ifds_problem.call_flow(call, callee), _IDENTITY)
 
-    def return_flow(self, call, callee, exit_stmt, return_site) -> FlowFunction[D]:
-        return self.ifds_problem.return_flow(call, callee, exit_stmt, return_site)
+    def return_flow(self, call, callee, exit_stmt, return_site) -> UniformEdges[D]:
+        return UniformEdges(
+            self.ifds_problem.return_flow(call, callee, exit_stmt, return_site),
+            _IDENTITY,
+        )
 
-    def call_to_return_flow(self, call, return_site) -> FlowFunction[D]:
-        return self.ifds_problem.call_to_return_flow(call, return_site)
+    def call_to_return_flow(self, call, return_site) -> UniformEdges[D]:
+        return UniformEdges(
+            self.ifds_problem.call_to_return_flow(call, return_site), _IDENTITY
+        )
 
     # The binary lattice.
     def top_value(self) -> bool:
@@ -71,23 +77,6 @@ class BinaryIDEProblem(IDEProblem[D, bool]):
 
     def join_values(self, left: bool, right: bool) -> bool:
         return left or right
-
-    # Every existing edge computes the identity.
-    def edge_normal(self, stmt, stmt_fact, succ, succ_fact) -> EdgeFunction[bool]:
-        return _IDENTITY
-
-    def edge_call(self, call, call_fact, callee, entry_fact) -> EdgeFunction[bool]:
-        return _IDENTITY
-
-    def edge_return(
-        self, call, callee, exit_stmt, exit_fact, return_site, return_fact
-    ) -> EdgeFunction[bool]:
-        return _IDENTITY
-
-    def edge_call_to_return(
-        self, call, call_fact, return_site, return_fact
-    ) -> EdgeFunction[bool]:
-        return _IDENTITY
 
 
 def ifds_as_ide(problem: IFDSProblem[D]) -> BinaryIDEProblem[D]:

@@ -1,14 +1,19 @@
 """The IDE problem interface (Sagiv, Reps, Horwitz, TAPSOFT'96).
 
-An IDE problem is an IFDS problem (the four flow-function classes decide
-*which* exploded-graph edges exist) plus, for every edge, an
-:class:`~repro.ide.edgefunctions.EdgeFunction` over a value lattice ``V``
-(which decides what the edge *computes*).  Environments ``{fact -> V}`` are
-transformed along the graph; the solved value at ``(s, d)`` is the join
-over all valid paths.
+An IDE problem is an IFDS problem whose exploded-graph edges each carry
+an :class:`~repro.ide.edgefunctions.EdgeFunction` over a value lattice
+``V``.  One case analysis decides both which edges exist and what they
+compute: each of the four flow functions' ``compute_targets(d)`` returns
+a mapping from every target fact ``d'`` to the function of the edge
+``d -> d'``.  A mapping iterates its keys, so an IDE problem still
+reads as an IFDS problem: a reader that wants only the target facts (the
+IFDS solver, the exploded-graph builder) iterates the same flows.
+Environments ``{fact -> V}`` are transformed along the graph; the solved
+value at ``(s, d)`` is the join over all valid paths.
 
 Every IFDS problem embeds into IDE via the binary lattice
-(:mod:`repro.ide.binary`); SPLLIFT instead uses feature constraints
+(:mod:`repro.ide.binary`, each target mapped to the identity with
+:class:`UniformEdges`); SPLLIFT instead uses feature constraints
 (:mod:`repro.core`), exploiting exactly this expressiveness gap
 (Section 3 of the paper).
 """
@@ -18,21 +23,36 @@ from __future__ import annotations
 from typing import Dict, Generic, Hashable, Iterable, TypeVar
 
 from repro.ide.edgefunctions import AllTop, EdgeFunction, IdentityEdge
+from repro.ifds.flowfunctions import FlowFunction
 from repro.ifds.problem import IFDSProblem
 from repro.ir.instructions import Instruction
-from repro.ir.program import IRMethod
 
-__all__ = ["IDEProblem"]
+__all__ = ["IDEProblem", "UniformEdges"]
 
 D = TypeVar("D", bound=Hashable)
 V = TypeVar("V")
+
+
+class UniformEdges(FlowFunction[D]):
+    """An IFDS flow function whose every edge computes ``edge``: each
+    target of ``flow`` maps to ``edge``."""
+
+    __slots__ = ("flow", "edge")
+
+    def __init__(self, flow: FlowFunction[D], edge: EdgeFunction) -> None:
+        self.flow = flow
+        self.edge = edge
+
+    def compute_targets(self, fact: D) -> Dict[D, EdgeFunction]:
+        return dict.fromkeys(self.flow.compute_targets(fact), self.edge)
 
 
 class IDEProblem(IFDSProblem[D], Generic[D, V]):
     """Base class for IDE analyses.
 
     Subclasses provide the value lattice (:meth:`top_value`,
-    :meth:`join_values`), per-edge functions, and seed values.
+    :meth:`join_values`), seed values, and the four flow functions, whose
+    targets map to their edge functions (see the module docstring).
     """
 
     # ------------------------------------------------------------------
@@ -85,49 +105,3 @@ class IDEProblem(IFDSProblem[D], Generic[D, V]):
         the binary embedding) report nothing; the lifted problem reports
         its intern-table counters (see ``repro.core.lifting``)."""
         return {}
-
-    # ------------------------------------------------------------------
-    # Edge functions, one per flow-function edge
-    # ------------------------------------------------------------------
-
-    def edge_normal(
-        self,
-        stmt: Instruction,
-        stmt_fact: D,
-        succ: Instruction,
-        succ_fact: D,
-    ) -> EdgeFunction[V]:
-        """Function for a normal-flow edge ``(stmt, d) -> (succ, d')``."""
-        raise NotImplementedError
-
-    def edge_call(
-        self,
-        call: Instruction,
-        call_fact: D,
-        callee: IRMethod,
-        entry_fact: D,
-    ) -> EdgeFunction[V]:
-        """Function for a call edge into a callee's start point."""
-        raise NotImplementedError
-
-    def edge_return(
-        self,
-        call: Instruction,
-        callee: IRMethod,
-        exit_stmt: Instruction,
-        exit_fact: D,
-        return_site: Instruction,
-        return_fact: D,
-    ) -> EdgeFunction[V]:
-        """Function for a return edge back to a return site."""
-        raise NotImplementedError
-
-    def edge_call_to_return(
-        self,
-        call: Instruction,
-        call_fact: D,
-        return_site: Instruction,
-        return_fact: D,
-    ) -> EdgeFunction[V]:
-        """Function for an intra-procedural edge across a call site."""
-        raise NotImplementedError

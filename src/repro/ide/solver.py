@@ -50,6 +50,10 @@ __all__ = ["IDESolver", "IDEResults"]
 D = TypeVar("D", bound=Hashable)
 V = TypeVar("V")
 
+#: A callee of a call node ``(n, d2)``: the callee, its start point, and
+#: each entry fact with the function of its call edge.
+_CallTarget = Tuple[IRMethod, Instruction, Tuple[Tuple[D, EdgeFunction[V]], ...]]
+
 
 class IDEResults(Generic[D, V]):
     """Solved values per (statement, fact)."""
@@ -173,18 +177,19 @@ class IDESolver(Generic[D, V]):
         self._end_summaries: Dict[
             Tuple[IRMethod, D], Dict[Tuple[Instruction, D], None]
         ] = {}
-        # (method, entry fact) -> {(call stmt, caller source, call fact): None}
+        # (method, entry fact) -> {(call stmt, caller source, call fact):
+        # the call edge into that context}
         self._incoming: Dict[
-            Tuple[IRMethod, D], Dict[Tuple[Instruction, D, D], None]
+            Tuple[IRMethod, D], Dict[Tuple[Instruction, D, D], EdgeFunction[V]]
         ] = {}
         self._all_top = problem.all_top()
-        # (call, d2) -> ((callee, callee start, entry facts), ...).  Phase
-        # II walks the call edges again, so their targets are kept; the
-        # other exploded successors are recomputed on the rare re-walk of
-        # an (n, d2) node (rpo reaches most nodes once).
+        # (call, d2) -> ((callee, callee start, ((entry fact, call edge),
+        # ...)), ...).  Phase II walks the call edges again, so they are
+        # kept; the other exploded successors are recomputed on the rare
+        # re-walk of an (n, d2) node (rpo reaches most nodes once).
         self._call_cache: Dict[
             Tuple[Instruction, D],
-            Tuple[Tuple[IRMethod, Instruction, Tuple[D, ...]], ...],
+            Tuple[_CallTarget, ...],
         ] = {}
         # Statement kind (0 normal, 1 call, 2 exit, 3 exit-with-successors),
         # resolved once per statement instead of per worklist pop.
@@ -345,9 +350,9 @@ class IDESolver(Generic[D, V]):
             flow = flow_cache.get(fkey)
             if flow is None:
                 flow = flow_cache[fkey] = problem.normal_flow(n, succ)
-            for d3 in flow.compute_targets(d2):
+            for d3, edge in flow.compute_targets(d2).items():
                 compositions += 1
-                fn = f.compose_with(problem.edge_normal(n, d2, succ, d3))
+                fn = f.compose_with(edge)
                 if fn.is_top:
                     continue  # no flow — drop the path (early termination)
                 rows = jump.get(succ)
@@ -382,14 +387,13 @@ class IDESolver(Generic[D, V]):
     # Case: call statements
     # ------------------------------------------------------------------
 
-    def _call_targets(
-        self, n: Instruction, d2: D
-    ) -> Tuple[Tuple[IRMethod, Instruction, Tuple[D, ...]], ...]:
-        """Callees with at least one entry fact for ``(n, d2)`` (memoized)."""
+    def _call_targets(self, n: Instruction, d2: D) -> Tuple[_CallTarget, ...]:
+        """Callees with at least one entry fact for ``(n, d2)``, each entry
+        fact with its call edge (memoized)."""
         key = (n, d2)
         targets = self._call_cache.get(key)
         if targets is None:
-            entries: List[Tuple[IRMethod, Instruction, Tuple[D, ...]]] = []
+            entries: List[_CallTarget] = []
             for callee in self.icfg.callees_of(n):
                 fkey = ("call", n, callee)
                 call_flow = self._flow_cache.get(fkey)
@@ -398,10 +402,10 @@ class IDESolver(Generic[D, V]):
                         n, callee
                     )
                 self.stats["flow_applications"] += 1
-                entry_facts = tuple(call_flow.compute_targets(d2))
-                if entry_facts:
+                entry_edges = tuple(call_flow.compute_targets(d2).items())
+                if entry_edges:
                     entries.append(
-                        (callee, self.icfg.start_point_of(callee), entry_facts)
+                        (callee, self.icfg.start_point_of(callee), entry_edges)
                     )
             targets = self._call_cache[key] = tuple(entries)
         return targets
@@ -412,8 +416,8 @@ class IDESolver(Generic[D, V]):
         return_sites = self.icfg.return_sites_of(n)
         seed_function = self.problem.seed_edge_function()
         provider = self._summaries
-        for callee, start, entry_facts in self._call_targets(n, d2):
-            for d3 in entry_facts:
+        for callee, start, entry_edges in self._call_targets(n, d2):
+            for d3, call_edge in entry_edges:
                 if provider is None:
                     self._propagate(d3, start, d3, seed_function)
                 else:
@@ -423,14 +427,14 @@ class IDESolver(Generic[D, V]):
                     # callee's summaries apply on this very visit.
                     provider.ensure_context(self, callee, d3, start)
                 context = (callee, d3)
-                self._incoming.setdefault(context, {})[(n, d1, d2)] = None
+                self._incoming.setdefault(context, {})[(n, d1, d2)] = call_edge
                 summaries = self._end_summaries.get(context)
                 if not summaries:
                     continue
                 for exit_stmt, d4 in summaries:
                     summary = self._jump_fn(exit_stmt, d3, d4)
                     self._apply_summary(
-                        n, d1, d2, f, callee, d3, exit_stmt, d4, summary, return_sites
+                        n, d1, f, call_edge, callee, exit_stmt, d4, summary, return_sites
                     )
         for return_site in return_sites:
             fkey = ("c2r", n, return_site)
@@ -440,8 +444,7 @@ class IDESolver(Generic[D, V]):
                     n, return_site
                 )
             self.stats["flow_applications"] += 1
-            for d3 in flow.compute_targets(d2):
-                edge = self.problem.edge_call_to_return(n, d2, return_site, d3)
+            for d3, edge in flow.compute_targets(d2).items():
                 self.stats["edge_compositions"] += 1
                 self._propagate(d1, return_site, d3, f.compose_with(edge))
 
@@ -449,10 +452,9 @@ class IDESolver(Generic[D, V]):
         self,
         call: Instruction,
         caller_source: D,
-        call_fact: D,
         caller_fn: EdgeFunction[V],
+        call_edge: EdgeFunction[V],
         callee: IRMethod,
-        entry_fact: D,
         exit_stmt: Instruction,
         exit_fact: D,
         summary_fn: EdgeFunction[V],
@@ -472,18 +474,12 @@ class IDESolver(Generic[D, V]):
                     call, callee, exit_stmt, return_site
                 )
             stats["flow_applications"] += 1
-            for d5 in flow.compute_targets(exit_fact):
+            for d5, return_edge in flow.compute_targets(exit_fact).items():
                 if prefix is None:
-                    call_edge = problem.edge_call(
-                        call, call_fact, callee, entry_fact
-                    )
                     prefix = caller_fn.compose_with(call_edge).compose_with(
                         summary_fn
                     )
                     stats["edge_compositions"] += 2
-                return_edge = problem.edge_return(
-                    call, callee, exit_stmt, exit_fact, return_site, d5
-                )
                 stats["edge_compositions"] += 1
                 self._propagate(
                     caller_source, return_site, d5, prefix.compose_with(return_edge)
@@ -499,17 +495,17 @@ class IDESolver(Generic[D, V]):
         method = self.icfg.method_of(n)
         context = (method, d1)
         self._end_summaries.setdefault(context, {})[(n, d2)] = None
-        for call, caller_source, call_fact in tuple(
-            self._incoming.get(context, ())
-        ):
+        incoming = self._incoming.get(context)
+        if not incoming:
+            return
+        for (call, caller_source, call_fact), call_edge in tuple(incoming.items()):
             caller_fn = self._jump_fn(call, caller_source, call_fact)
             self._apply_summary(
                 call,
                 caller_source,
-                call_fact,
                 caller_fn,
+                call_edge,
                 method,
-                d1,
                 n,
                 d2,
                 f,
@@ -566,9 +562,8 @@ class IDESolver(Generic[D, V]):
                             if set_value(call, d2, f.compute_target(value)):
                                 worklist.append((call, d2))
                 if self.icfg.is_call(n):
-                    for callee, start, entry_facts in self._call_targets(n, d):
-                        for d3 in entry_facts:
-                            edge = self.problem.edge_call(n, d, callee, d3)
+                    for _callee, start, entry_edges in self._call_targets(n, d):
+                        for d3, edge in entry_edges:
                             if set_value(start, d3, edge.compute_target(value)):
                                 worklist.append((start, d3))
 

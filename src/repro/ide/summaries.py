@@ -324,12 +324,12 @@ class SummaryCache:
                 if not row:
                     continue
                 for d2 in tuple(row):
-                    for callee, start, entry_facts in solver._call_targets(
+                    for callee, start, entry_edges in solver._call_targets(
                         call, d2
                     ):
-                        for d3 in entry_facts:
+                        for d3, call_edge in entry_edges:
                             ckey = (callee, d3)
-                            incoming.setdefault(ckey, {})[(call, d1, d2)] = None
+                            incoming.setdefault(ckey, {})[(call, d1, d2)] = call_edge
                             if ckey in self._seen:
                                 continue
                             centries = self._records.get(callee)

@@ -6,13 +6,15 @@ graph*: one node per (statement, fact) pair, one edge per pointwise flow
 reachable from the seeds — for visualization (Graphviz DOT, like the
 paper's Figures 3 and 5) and for tests that inspect the structure.
 
-For lifted problems pass ``edge_labels`` to annotate each edge with its
-feature-constraint label, reproducing Figure 5's conditional edges.
+An IDE problem's flows map each target to its edge function; pass
+``edge_labels`` to render that function as the edge's label.  For a lifted
+problem that is the edge's feature constraint, reproducing Figure 5's
+conditional edges.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, List, Optional, Set, Tuple, TypeVar
+from typing import Any, Callable, Dict, Hashable, List, Optional, Set, Tuple, TypeVar
 
 from repro.ifds.problem import IFDSProblem, ZERO
 from repro.ir.instructions import Instruction
@@ -107,12 +109,13 @@ class ExplodedSuperGraph:
 
 def build_exploded_graph(
     problem: IFDSProblem[D],
-    edge_labels: Optional[Callable[[str, Instruction, D, Instruction, D], str]] = None,
+    edge_labels: Optional[Callable[[Any], str]] = None,
 ) -> ExplodedSuperGraph:
     """Materialize the exploded super graph reachable from the seeds.
 
-    ``edge_labels(kind, stmt, fact, succ, succ_fact)`` may supply a label
-    per edge (used by the lifted problems to show constraints).
+    ``edge_labels(edge_function)`` may supply a label per edge of an IDE
+    problem, from the function its flow maps the edge's target to (the
+    lifted problems' constraints, for example).
     """
     icfg = problem.icfg
     graph = ExplodedSuperGraph()
@@ -124,10 +127,11 @@ def build_exploded_graph(
             seen.add(node)
             worklist.append(node)
 
-    def label(kind: str, stmt, fact, succ, succ_fact) -> str:
-        if edge_labels is None:
-            return ""
-        return edge_labels(kind, stmt, fact, succ, succ_fact)
+    def connect(node: Node, kind: str, succ: Instruction, targets) -> None:
+        for target_fact in targets:
+            label = "" if edge_labels is None else edge_labels(targets[target_fact])
+            graph.add_edge(ExplodedEdge(node, (succ, target_fact), kind, label))
+            visit((succ, target_fact))
 
     for stmt, facts in problem.initial_seeds().items():
         for fact in facts:
@@ -139,52 +143,21 @@ def build_exploded_graph(
         if icfg.is_call(stmt):
             for callee in icfg.callees_of(stmt):
                 flow = problem.call_flow(stmt, callee)
-                start = icfg.start_point_of(callee)
-                for target_fact in flow.compute_targets(fact):
-                    edge = ExplodedEdge(
-                        node,
-                        (start, target_fact),
-                        "call",
-                        label("call", stmt, fact, start, target_fact),
-                    )
-                    graph.add_edge(edge)
-                    visit(edge.target)
+                connect(
+                    node, "call", icfg.start_point_of(callee), flow.compute_targets(fact)
+                )
             for return_site in icfg.return_sites_of(stmt):
                 flow = problem.call_to_return_flow(stmt, return_site)
-                for target_fact in flow.compute_targets(fact):
-                    edge = ExplodedEdge(
-                        node,
-                        (return_site, target_fact),
-                        "call-to-return",
-                        label("call-to-return", stmt, fact, return_site, target_fact),
-                    )
-                    graph.add_edge(edge)
-                    visit(edge.target)
+                connect(node, "call-to-return", return_site, flow.compute_targets(fact))
             continue
         if icfg.is_exit(stmt):
             method = icfg.method_of(stmt)
             for call in icfg.callers_of(method):
                 for return_site in icfg.return_sites_of(call):
                     flow = problem.return_flow(call, method, stmt, return_site)
-                    for target_fact in flow.compute_targets(fact):
-                        edge = ExplodedEdge(
-                            node,
-                            (return_site, target_fact),
-                            "return",
-                            label("return", stmt, fact, return_site, target_fact),
-                        )
-                        graph.add_edge(edge)
-                        visit(edge.target)
+                    connect(node, "return", return_site, flow.compute_targets(fact))
             # fall through (annotated returns in lifted graphs)
         for succ in icfg.successors_of(stmt):
             flow = problem.normal_flow(stmt, succ)
-            for target_fact in flow.compute_targets(fact):
-                edge = ExplodedEdge(
-                    node,
-                    (succ, target_fact),
-                    "normal",
-                    label("normal", stmt, fact, succ, target_fact),
-                )
-                graph.add_edge(edge)
-                visit(edge.target)
+            connect(node, "normal", succ, flow.compute_targets(fact))
     return graph

@@ -33,6 +33,10 @@ D = TypeVar("D", bound=Hashable)
 class FlowFunction(Generic[D]):
     """A distributive flow function, given pointwise."""
 
+    # Empty, so that a subclass declaring its own slots holds no instance
+    # dict (solvers keep one flow per ICFG edge); others still get one.
+    __slots__ = ()
+
     def compute_targets(self, fact: D) -> FrozenSet[D]:
         """The facts that ``fact`` flows to across this statement."""
         raise NotImplementedError

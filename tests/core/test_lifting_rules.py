@@ -10,14 +10,26 @@ against the rule:
       fall-through (¬F);
 - 4c: conditional branches — branch edge F, fall-through true;
 - 4d: call and return — enabled flow labeled F, disabled kill-all.
+
+The labels come from the same application of the analysis' flow that
+yields the targets; ``TestOneInnerApplication`` counts those applications.
 """
+
+from collections import Counter
 
 import pytest
 
-from repro.analyses import LocalFact, TaintAnalysis, UninitializedVariablesAnalysis
+from repro.analyses import (
+    LocalFact,
+    ReachingDefinitionsAnalysis,
+    TaintAnalysis,
+    UninitializedVariablesAnalysis,
+)
 from repro.core import SPLLift
+from repro.ifds.flowfunctions import FlowFunction
 from repro.ir import ICFG, Print, lower_program
 from repro.minijava import parse_program
+from repro.spl import gpl_like
 
 
 def lift_taint(source, feature_model=None):
@@ -322,3 +334,57 @@ class TestNestedAndComplexConditions:
         # statement re-taints, so overall: F | G.
         constraint = results.system.parse("F || G")
         assert constraint_at_print(icfg, results) == constraint
+
+
+class _Counted(FlowFunction):
+    """A flow that counts its applications under ``key``."""
+
+    def __init__(self, flow, key, applications):
+        self.flow = flow
+        self.key = key
+        self.applications = applications
+
+    def compute_targets(self, fact):
+        self.applications[self.key] += 1
+        return self.flow.compute_targets(fact)
+
+
+_FLOWS = ("normal_flow", "call_flow", "return_flow", "call_to_return_flow")
+
+
+def _count_flows(problem, built, applied):
+    """Wrap ``problem``'s four flow functions so each flow it builds is
+    counted in ``built`` and each application in ``applied``, keyed by
+    the flow's class and ICFG edge."""
+    for name in _FLOWS:
+        build = getattr(problem, name)
+
+        def counted(*edge, _name=name, _build=build):
+            key = (_name, *edge)
+            if built is not None:
+                built[key] += 1
+            return _Counted(_build(*edge), key, applied)
+
+        setattr(problem, name, counted)
+
+
+class TestOneInnerApplication:
+    def test_inner_flows_are_built_once_and_applied_once(self):
+        """Lifting applies the analysis' flow once per application of the
+        lifted flow, and the solver's flow cache leaves one inner flow per
+        ICFG edge: the label of each target comes from that one
+        application, not from applying the flow again per exploded edge."""
+        product_line = gpl_like()
+        analysis = ReachingDefinitionsAnalysis(product_line.icfg)
+        inner_built, inner_applied, lifted_applied = Counter(), Counter(), Counter()
+        _count_flows(analysis, inner_built, inner_applied)
+        spllift = SPLLift(analysis, feature_model=product_line.feature_model)
+        _count_flows(spllift.problem, None, lifted_applied)
+        spllift.solve()
+        assert any(key[1].annotation is not None for key in inner_built)
+        assert max(inner_built.values()) == 1
+        # A disabled-only flow (a goto's or return's fall-through) builds
+        # no inner flow; every other lifted flow applies its inner one.
+        assert {key: inner_applied[key] for key in inner_built} == {
+            key: lifted_applied[key] for key in inner_built
+        }

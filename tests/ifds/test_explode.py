@@ -3,6 +3,7 @@
 import pytest
 
 from repro.analyses import LocalFact, TaintAnalysis
+from repro.ide import ifds_as_ide
 from repro.ifds import ZERO, build_exploded_graph
 from repro.ifds.explode import ExplodedEdge
 from repro.ir import ICFG, lower_program
@@ -62,14 +63,17 @@ class TestStructure:
         assert ("p", "y") in mapped
 
     def test_edge_labels_callback(self):
+        """The callback labels each edge from the function its IDE flow
+        maps the target to: the identity in the binary embedding."""
         icfg = ICFG.for_entry(
             lower_program(parse_program(self.SOURCE))
         )
-        problem = TaintAnalysis(icfg)
+        problem = ifds_as_ide(TaintAnalysis(icfg))
         graph = build_exploded_graph(
-            problem, edge_labels=lambda kind, *_: kind[:1]
+            problem, edge_labels=lambda edge: type(edge).__name__
         )
-        assert all(edge.label for edge in graph.edges)
+        assert graph.edges
+        assert all(edge.label == "IdentityEdge" for edge in graph.edges)
 
     def test_dot_rendering(self):
         icfg, graph = graph_for(self.SOURCE)
