@@ -5,8 +5,9 @@ Runs the rows whose counters ``spllift obs diff`` gates against
 
 - ``engine/datalog/GPL-like/possible_types`` — one lifted solve on the
   semi-naive Datalog engine, whose rule/iteration/tuple counters are
-  set-at-a-time and hence exact (gated at threshold 0, with the
-  batch-order-dependent ``value_*`` counters ignored);
+  set-at-a-time and hence exact, as are the ``value_*`` counters of the
+  IDE phase II it shares with tabulation (gated at threshold 0, with
+  the seed pinned);
 - ``engine/tabulate/GPL-like/reaching_definitions`` — one default lifted
   solve on the IDE tabulation engine.  Facts and handles hash without
   object addresses, so its counters are the same in every process at a

@@ -221,13 +221,13 @@ def _analyze(args) -> int:
             f"{stats.get('summaries_invalidated', 0)} invalidated",
             file=sys.stderr,
         )
-    if not findings:
+    if findings:
+        print(f"{args.analysis}: {len(findings)} finding(s)")
+        for location, description, constraint in findings:
+            print(f"  {location}: {description}")
+            print(f"      iff {constraint}")
+    else:
         print(f"{args.analysis}: no findings (in any valid product)")
-        return 0
-    print(f"{args.analysis}: {len(findings)} finding(s)")
-    for location, description, constraint in findings:
-        print(f"  {location}: {description}")
-        print(f"      iff {constraint}")
     if args.stats:
         print("\nsolver statistics:")
         for key, value in results.stats.items():

@@ -463,16 +463,15 @@ class _EnabledOrIdentity(FlowFunction):
 
     def compute_targets(self, fact) -> Dict[object, ConstraintEdge]:
         enabled = self.enabled.compute_targets(fact)
-        # Built as ``Union(enabled, Identity())`` builds it, so the targets
-        # iterate in the same order.
-        targets = frozenset() | enabled | {fact}
         problem = self.problem
         if fact in enabled:
             own = problem._true_edge
+            others = len(enabled) > 1
         else:
             own = problem._edge(problem._negation(self.condition))
-        if len(targets) == 1:
-            return dict.fromkeys(targets, own)
-        edges = dict.fromkeys(targets, problem._edge(self.condition))
+            others = bool(enabled)
+        if not others:
+            return {fact: own}
+        edges = dict.fromkeys(enabled, problem._edge(self.condition))
         edges[fact] = own
         return edges

@@ -361,10 +361,10 @@ class SPLLift(Generic[D]):
         ``engine`` selects the evaluation engine (default ``tabulate``):
         ``"tabulate"`` is the two-phase IDE tabulation above;
         ``"datalog"`` compiles the lifted problem to constraint-annotated
-        Datalog rules and runs a semi-naive fixpoint
-        (:mod:`repro.datalog`) — an independent engine whose results are
-        bit-identical.  The datalog engine does not support
-        ``summaries``.
+        Datalog rules and runs a semi-naive fixpoint in place of phase I
+        (:mod:`repro.datalog`), then the same phase II — an independent
+        phase I whose results are bit-identical.  The datalog engine does
+        not support ``summaries``.
 
         Every solve runs in this process; parallelism lives at job
         granularity (:class:`~repro.core.parallel.ProcessTaskPool`).

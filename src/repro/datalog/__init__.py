@@ -3,15 +3,18 @@
 Shahin/Chechik ("Lifting Datalog-Based Analyses to SPLs", PAPERS.md)
 lift Datalog engines to variability by pairing every tuple with a
 feature constraint — exactly SPLLIFT's IDE value domain.  This package
-compiles a :class:`~repro.core.lifting.LiftedProblem` into
-constraint-annotated relations (``path_edge``/``summary_edge``) plus
+replaces IDE phase I: it compiles a
+:class:`~repro.core.lifting.LiftedProblem` into constraint-annotated
+relations (``path_edge``/``summary_edge``) plus
 normal/call/return/call-to-return flow rules, and evaluates them with a
 semi-naive, set-at-a-time fixpoint (:mod:`repro.datalog.engine`).
 
-The resulting fixpoint is the same mathematical object the tabulation
-solver computes, and BDD constraints are canonical, so both engines
-render bit-identical ``result_digest()``s — an independent cross-check
-on the heavily optimized tabulation path
+The resulting ``path_edge`` fixpoint is the same mathematical object as
+the tabulation solver's jump functions; it is handed to the IDE
+solver's own phase II (:func:`repro.ide.solver.compute_values`), and BDD
+constraints are canonical, so both engines render bit-identical
+``result_digest()``s — an independent cross-check of phase I on the
+heavily optimized tabulation path
 (``scripts/check_digest_identity.py --engine datalog``).
 """
 

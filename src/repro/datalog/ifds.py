@@ -36,19 +36,23 @@ its presence condition, as in lifted Datalog.
 
 The five rules are mutually recursive, so they form one stratum;
 evaluation is semi-naive over the engine's delta stores.  The fixpoint
-is the same mathematical object phase I of :class:`IDESolver` computes,
-and BDD constraints are canonical, so the phase-II values — and
-therefore ``result_digest()`` — come out bit-identical.
+is the same mathematical object phase I of :class:`IDESolver` computes:
+``path_edge(d1, n, d2) @ c`` is the jump function ``λv. v ∧ c``.  The
+solver re-indexes it into jump rows of interned edges and hands them to
+the IDE solver's own phase II (:func:`repro.ide.solver.compute_values`).
+BDD constraints are canonical, so the values — and therefore
+``result_digest()`` — come out bit-identical to tabulation's.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Dict, Hashable, List, Optional, Tuple, TypeVar
+from typing import Dict, Hashable, List, Tuple, TypeVar
 
 from repro.constraints.base import Constraint
 from repro.datalog.engine import Relation, Rule, SemiNaiveEvaluator
-from repro.ide.solver import IDEResults
+from repro.ide.edgefunctions import EdgeFunction
+from repro.ide.solver import IDEResults, compute_values
+from repro.ir.icfg import CALL, EXIT, EXIT_WITH_SUCCESSORS, NORMAL
 from repro.ir.instructions import Instruction
 from repro.ir.program import IRMethod
 from repro.obs import runtime as obs
@@ -57,16 +61,11 @@ __all__ = ["DatalogSolver"]
 
 D = TypeVar("D", bound=Hashable)
 
-#: Statement kinds, resolved once per statement (the tabulation solver's
-#: classification): 0 normal, 1 call, 2 exit, 3 exit-with-successors
-#: (a disabled annotated ``return`` falls through, so the node is both
-#: an exit and a normal statement).
-_NORMAL, _CALL, _EXIT, _EXIT_FLOW = 0, 1, 2, 3
-
 
 class DatalogSolver:
     """Solve a :class:`~repro.core.lifting.LiftedProblem` by rule
-    evaluation instead of tabulation.
+    evaluation instead of tabulation; the value phase is the IDE
+    solver's.
 
     The problem's flows map each target to a ``λc. c ∧ A`` edge (every
     lifted problem's do); its ``constraint`` attribute is the label the
@@ -80,7 +79,8 @@ class DatalogSolver:
         self.path_edges = Relation("path_edge")
         self.call_facts = Relation("call_fact")
         self.summary_edges = Relation("summary_edge")
-        self.stats: Dict[str, int] = {}
+        # Phase II adds its counters here.
+        self.stats: Dict[str, int] = {"value_updates": 0, "value_batch_joins": 0}
         # Join indexes, maintained by first-insertion hooks:
         # (callee, entry fact) -> [(exit stmt, exit fact)]
         self._exit_index: Dict[Tuple[IRMethod, D], List[Tuple[Instruction, D]]] = {}
@@ -95,38 +95,34 @@ class DatalogSolver:
         self.path_edges.on_insert = self._index_path_edge
         self.call_facts.on_insert = self._index_call_fact
         self.summary_edges.on_insert = self._index_summary_edge
-        # Exploded-edge caches, mirroring the tabulation solver's: flow
-        # functions and labels depend on (statement, fact), never on d1.
-        self._kind_cache: Dict[Instruction, int] = {}
+        # Exploded-edge memos: flow targets and labels depend on
+        # (statement, fact), never on d1, and semi-naive evaluation fires
+        # a tuple again each time its constraint grows, so each (n, d2) is
+        # computed once and replayed.
         self._normal_cache: Dict[Tuple[Instruction, D], tuple] = {}
         self._c2r_cache: Dict[Tuple[Instruction, D], tuple] = {}
         self._call_cache: Dict[Tuple[Instruction, D], tuple] = {}
         self._return_cache: Dict[Tuple[Instruction, Instruction, D], tuple] = {}
+        # Flow functions are pure per ICFG edge, so each is built once,
+        # keyed like the tabulation solvers' flow caches, and applied on
+        # every memo miss at that edge.
+        self._flow_cache: Dict[tuple, object] = {}
 
     # ==================================================================
-    # Statement classification and exploded-edge caches
+    # Exploded-edge memos
     # ==================================================================
-
-    def _kind(self, n: Instruction) -> int:
-        kind = self._kind_cache.get(n)
-        if kind is None:
-            if self.icfg.is_call(n):
-                kind = _CALL
-            elif self.icfg.is_exit(n):
-                kind = _EXIT_FLOW if self.icfg.successors_of(n) else _EXIT
-            else:
-                kind = _NORMAL
-            self._kind_cache[n] = kind
-        return kind
 
     def _normal_exploded(self, n: Instruction, d2: D) -> tuple:
         key = (n, d2)
         exploded = self._normal_cache.get(key)
         if exploded is None:
-            problem = self.problem
+            flow_cache = self._flow_cache
             entries = []
             for succ in self.icfg.successors_of(n):
-                flow = problem.normal_flow(n, succ)
+                fkey = ("normal", n, succ)
+                flow = flow_cache.get(fkey)
+                if flow is None:
+                    flow = flow_cache[fkey] = self.problem.normal_flow(n, succ)
                 for d3, edge in flow.compute_targets(d2).items():
                     entries.append((succ, d3, edge.constraint))
             exploded = self._normal_cache[key] = tuple(entries)
@@ -136,31 +132,38 @@ class DatalogSolver:
         key = (call, d2)
         exploded = self._c2r_cache.get(key)
         if exploded is None:
-            problem = self.problem
+            flow_cache = self._flow_cache
             entries = []
             for return_site in self.icfg.return_sites_of(call):
-                flow = problem.call_to_return_flow(call, return_site)
+                fkey = ("c2r", call, return_site)
+                flow = flow_cache.get(fkey)
+                if flow is None:
+                    flow = flow_cache[fkey] = self.problem.call_to_return_flow(
+                        call, return_site
+                    )
                 for d3, edge in flow.compute_targets(d2).items():
                     entries.append((return_site, d3, edge.constraint))
             exploded = self._c2r_cache[key] = tuple(entries)
         return exploded
 
     def _call_targets(self, call: Instruction, d2: D) -> tuple:
-        """``(callee, callee start, ((entry fact, call label), ...))``
-        triples for ``(call, d2)``."""
+        """``(callee, callee start, ((entry fact, call edge), ...))`` per
+        callee with an entry fact for ``(call, d2)``: the shape IDE phase
+        II reads (memoized)."""
         key = (call, d2)
         targets = self._call_cache.get(key)
         if targets is None:
+            flow_cache = self._flow_cache
             entries = []
             for callee in self.icfg.callees_of(call):
-                flow = self.problem.call_flow(call, callee)
-                entry_labels = tuple(
-                    (d3, edge.constraint)
-                    for d3, edge in flow.compute_targets(d2).items()
-                )
-                if entry_labels:
+                fkey = ("call", call, callee)
+                flow = flow_cache.get(fkey)
+                if flow is None:
+                    flow = flow_cache[fkey] = self.problem.call_flow(call, callee)
+                entry_edges = tuple(flow.compute_targets(d2).items())
+                if entry_edges:
                     entries.append(
-                        (callee, self.icfg.start_point_of(callee), entry_labels)
+                        (callee, self.icfg.start_point_of(callee), entry_edges)
                     )
             targets = self._call_cache[key] = tuple(entries)
         return targets
@@ -171,10 +174,15 @@ class DatalogSolver:
         key = (call, exit_stmt, d4)
         exploded = self._return_cache.get(key)
         if exploded is None:
-            problem = self.problem
+            flow_cache = self._flow_cache
             entries = []
             for return_site in self.icfg.return_sites_of(call):
-                flow = problem.return_flow(call, callee, exit_stmt, return_site)
+                fkey = ("return", call, exit_stmt, return_site)
+                flow = flow_cache.get(fkey)
+                if flow is None:
+                    flow = flow_cache[fkey] = self.problem.return_flow(
+                        call, callee, exit_stmt, return_site
+                    )
                 for d5, edge in flow.compute_targets(d4).items():
                     entries.append((return_site, d5, edge.constraint))
             exploded = self._return_cache[key] = tuple(entries)
@@ -186,13 +194,13 @@ class DatalogSolver:
 
     def _index_path_edge(self, key) -> None:
         d1, n, d2 = key
-        kind = self._kind(n)
-        if kind == _CALL:
+        kind = self.icfg.kinds[n]
+        if kind == CALL:
             callers = self._caller_index.get((n, d2))
             if callers is None:
                 callers = self._caller_index[(n, d2)] = []
             callers.append(d1)
-        elif kind != _NORMAL:  # an exit (with or without successors)
+        elif kind != NORMAL:  # an exit (with or without successors)
             context = (self.icfg.method_of(n), d1)
             exits = self._exit_index.get(context)
             if exits is None:
@@ -201,12 +209,12 @@ class DatalogSolver:
 
     def _index_call_fact(self, key) -> None:
         call, d2 = key
-        for callee, _start, entry_labels in self._call_targets(call, d2):
-            for d3, label in entry_labels:
+        for callee, _start, entry_edges in self._call_targets(call, d2):
+            for d3, call_edge in entry_edges:
                 contexts = self._context_index.get((callee, d3))
                 if contexts is None:
                     contexts = self._context_index[(callee, d3)] = []
-                contexts.append((call, d2, label))
+                contexts.append((call, d2, call_edge.constraint))
 
     def _index_summary_edge(self, key) -> None:
         call, d2, return_site, d5 = key
@@ -221,17 +229,19 @@ class DatalogSolver:
 
     def _fire_normal(self, _relation, delta) -> None:
         contribute = self.path_edges.contribute
+        kinds = self.icfg.kinds
         for (d1, n, d2), c in delta.items():
-            kind = self._kind(n)
-            if kind != _NORMAL and kind != _EXIT_FLOW:
+            kind = kinds[n]
+            if kind != NORMAL and kind != EXIT_WITH_SUCCESSORS:
                 continue
             for succ, d3, label in self._normal_exploded(n, d2):
                 contribute((d1, succ, d3), c & label)
 
     def _fire_call_to_return(self, _relation, delta) -> None:
         contribute = self.path_edges.contribute
+        kinds = self.icfg.kinds
         for (d1, n, d2), c in delta.items():
-            if self._kind(n) != _CALL:
+            if kinds[n] != CALL:
                 continue
             for return_site, d3, label in self._c2r_exploded(n, d2):
                 contribute((d1, return_site, d3), c & label)
@@ -241,11 +251,12 @@ class DatalogSolver:
         true = self.system.true
         seed = self.path_edges.contribute
         fact = self.call_facts.contribute
+        kinds = self.icfg.kinds
         for (d1, n, d2), _c in delta.items():
-            if self._kind(n) != _CALL:
+            if kinds[n] != CALL:
                 continue
-            for _callee, start, entry_labels in self._call_targets(n, d2):
-                for d3, _label in entry_labels:
+            for _callee, start, entry_edges in self._call_targets(n, d2):
+                for d3, _edge in entry_edges:
                     seed((d3, start, d3), true)
             fact((n, d2), true)
 
@@ -256,8 +267,9 @@ class DatalogSolver:
             # New call contexts against all stored exit path edges.
             pe = self.path_edges.tuples
             for (call, d2) in delta:
-                for callee, _start, entry_labels in self._call_targets(call, d2):
-                    for d3, label_call in entry_labels:
+                for callee, _start, entry_edges in self._call_targets(call, d2):
+                    for d3, call_edge in entry_edges:
+                        label_call = call_edge.constraint
                         for exit_stmt, d4 in self._exit_index.get(
                             (callee, d3), ()
                         ):
@@ -271,9 +283,10 @@ class DatalogSolver:
                                 )
             return
         # New exit path edges against all registered call contexts.
+        kinds = self.icfg.kinds
         for (d1, n, d2), c_exit in delta.items():
-            kind = self._kind(n)
-            if kind != _EXIT and kind != _EXIT_FLOW:
+            kind = kinds[n]
+            if kind != EXIT and kind != EXIT_WITH_SUCCESSORS:
                 continue
             callee = self.icfg.method_of(n)
             for call, call_fact, label_call in self._context_index.get(
@@ -297,8 +310,9 @@ class DatalogSolver:
                     contribute((d1, rs, d5), pe[(d1, call, d2)] & s)
             return
         se = self.summary_edges.tuples
+        kinds = self.icfg.kinds
         for (d1, call, d2), c in delta.items():
-            if self._kind(call) != _CALL:
+            if kinds[call] != CALL:
                 continue
             for rs, d5 in self._summary_index.get((call, d2), ()):
                 contribute((d1, rs, d5), c & se[(call, d2, rs, d5)])
@@ -313,7 +327,9 @@ class DatalogSolver:
             with tracer.span("datalog/fixpoint"):
                 evaluator = self._evaluate()
             with tracer.span("datalog/values"):
-                values = self._compute_values()
+                values = compute_values(
+                    self.problem, self._jump_rows(), self._call_targets, self.stats
+                )
         self.stats.update(evaluator.counters)
         self.stats.update(
             {
@@ -343,34 +359,11 @@ class DatalogSolver:
         evaluator.evaluate((rules,))
         return evaluator
 
-    def _compute_values(self) -> Dict[Tuple[Instruction, D], Constraint]:
-        """The IDE value phase over the solved ``path_edge`` relation.
-
-        Identical math to ``IDESolver._compute_values`` — seeds flow to
-        call sites and into callees (phase II(i)), then every node gets
-        the batched join over its jump constraints (phase II(ii)) — with
-        ``path_edge`` standing in for the jump-function tables.
-        """
-        problem = self.problem
-        icfg = self.icfg
-        top = problem.top_value()
-        values: Dict[Tuple[Instruction, D], Constraint] = {}
-        value_updates = 0
-
-        def set_value(stmt: Instruction, fact: D, value: Constraint) -> bool:
-            nonlocal value_updates
-            key = (stmt, fact)
-            old = values.get(key, top)
-            joined = old | value
-            if joined is old or joined == old:
-                return False
-            values[key] = joined
-            value_updates += 1
-            return True
-
-        # path_edge re-indexed as stmt -> d1 -> {d2: constraint} (the
-        # two-level jump index phase II iterates).
-        jump: Dict[Instruction, Dict[D, Dict[D, Constraint]]] = {}
+    def _jump_rows(self) -> Dict[Instruction, Dict[D, Dict[D, EdgeFunction]]]:
+        """``path_edge`` as phase II's jump rows: ``stmt -> d1 -> d2 ->``
+        the interned edge ``λv. v ∧ c`` of the tuple's constraint ``c``."""
+        edge = self.problem.edge_table.edge
+        jump: Dict[Instruction, Dict[D, Dict[D, EdgeFunction]]] = {}
         for (d1, n, d2), c in self.path_edges.tuples.items():
             rows = jump.get(n)
             if rows is None:
@@ -378,67 +371,5 @@ class DatalogSolver:
             row = rows.get(d1)
             if row is None:
                 row = rows[d1] = {}
-            row[d2] = c
-
-        # Phase II(i): start points and call sites.
-        worklist: Deque[Tuple[Instruction, D]] = deque()
-        for stmt, fact_values in problem.initial_seed_values().items():
-            for fact, value in fact_values.items():
-                if set_value(stmt, fact, value):
-                    worklist.append((stmt, fact))
-        while worklist:
-            n, d = worklist.popleft()
-            value = values.get((n, d), top)
-            method = icfg.method_of(n)
-            if n is icfg.start_point_of(method):
-                for call in icfg.call_sites_in(method):
-                    rows = jump.get(call)
-                    row = rows.get(d) if rows is not None else None
-                    if not row:
-                        continue
-                    for d2, c in row.items():
-                        if set_value(call, d2, value & c):
-                            worklist.append((call, d2))
-            if icfg.is_call(n):
-                for _callee, start, entry_labels in self._call_targets(n, d):
-                    for d3, label in entry_labels:
-                        if set_value(start, d3, value & label):
-                            worklist.append((start, d3))
-
-        # Phase II(ii): every remaining node via its jump constraints,
-        # merging contributions per (stmt, d2) with one batched or_all.
-        batch_joins = 0
-        for method in icfg.reachable_methods:
-            start = icfg.start_point_of(method)
-            start_values: Dict[D, Constraint] = {}
-            for stmt in method.instructions:
-                if stmt is start:
-                    continue
-                rows = jump.get(stmt)
-                if rows is None:
-                    continue
-                incoming: Dict[D, List[Constraint]] = {}
-                for d1, row in rows.items():
-                    start_value = start_values.get(d1)
-                    if start_value is None:
-                        start_value = start_values[d1] = values.get(
-                            (start, d1), top
-                        )
-                    if start_value == top:
-                        continue
-                    for d2, c in row.items():
-                        contributions = incoming.get(d2)
-                        if contributions is None:
-                            contributions = incoming[d2] = []
-                        contributions.append(start_value & c)
-                for d2, contributions in incoming.items():
-                    if len(contributions) == 1:
-                        set_value(stmt, d2, contributions[0])
-                    else:
-                        batch_joins += 1
-                        set_value(
-                            stmt, d2, problem.join_all_values(contributions)
-                        )
-        self.stats["value_updates"] = value_updates
-        self.stats["value_batch_joins"] = batch_joins
-        return values
+            row[d2] = edge(c)
+        return jump

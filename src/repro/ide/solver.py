@@ -7,9 +7,12 @@ method, the composed edge function summarizing all same-level paths from
 (summaries, incoming map), except that path edges carry edge functions
 merged via ``join_with`` until a fixed point.
 
-Phase II propagates concrete values: seeds flow through jump functions to
-call sites, across call edges into callee start points (phase II(i)), and
-finally to every node via its jump function (phase II(ii)).
+Phase II (:func:`compute_values`) propagates concrete values: seeds flow
+through jump functions to call sites, across call edges into callee start
+points (phase II(i)), and finally to every node via its jump function
+(phase II(ii)).  It reads nothing but the jump rows and the call edges,
+so the Datalog engine (:mod:`repro.datalog.ifds`), which reaches phase
+I's fixpoint another way, runs the same phase II.
 
 The paper's observation that exchanging only the *start value* terminates
 late (Section 4.2) is visible here: phase I dominates the cost, so
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 from collections import deque
 from typing import (
+    Callable,
     Deque,
     Dict,
     Generic,
@@ -40,12 +44,13 @@ from repro.ifds.worklist import (
     make_worklist,
     resolve_worklist_order,
 )
+from repro.ir.icfg import CALL, EXIT_WITH_SUCCESSORS, NORMAL
 from repro.ir.instructions import Instruction
 from repro.ir.program import IRMethod
 from repro.obs import runtime as obs
 from repro.utils import collector
 
-__all__ = ["IDESolver", "IDEResults"]
+__all__ = ["IDESolver", "IDEResults", "compute_values"]
 
 D = TypeVar("D", bound=Hashable)
 V = TypeVar("V")
@@ -191,9 +196,6 @@ class IDESolver(Generic[D, V]):
             Tuple[Instruction, D],
             Tuple[_CallTarget, ...],
         ] = {}
-        # Statement kind (0 normal, 1 call, 2 exit, 3 exit-with-successors),
-        # resolved once per statement instead of per worklist pop.
-        self._kind_cache: Dict[Instruction, int] = {}
         # Flow functions are pure per ICFG edge; constructing them (closure
         # allocation in the client analyses) is cached per edge, so further
         # facts at the same edge skip it.
@@ -215,7 +217,9 @@ class IDESolver(Generic[D, V]):
                     # value phase; phase II reads, never extends, jump rows.
                     self._summaries.harvest(self)
                 with tracer.span("ide/phase2/values"):
-                    values = self._compute_values()
+                    values = compute_values(
+                        self.problem, self._jump, self._call_targets, self.stats
+                    )
             self.stats.update(self.problem.edge_cache_stats())
             self.stats["worklist_order"] = self._order
             # Mirror the per-solve stats dict (the compatibility view) into
@@ -242,7 +246,7 @@ class IDESolver(Generic[D, V]):
                     summaries.ensure_context(self, method, fact, stmt)
                 else:
                     self._propagate(fact, stmt, fact, seed_function)
-        kind_cache = self._kind_cache
+        kinds = self.icfg.kinds
         worklist = self._worklist
         pending = self._pending
         jump = self._jump
@@ -268,24 +272,16 @@ class IDESolver(Generic[D, V]):
             # Every propagated entry has a jump-table row, so the lookup
             # can index directly.
             f = jump[n][d1][d2]
-            kind = kind_cache.get(n)
-            if kind is None:
-                if self.icfg.is_call(n):
-                    kind = 1
-                elif self.icfg.is_exit(n):
-                    # A disabled `return` in a lifted CFG falls through to
-                    # its successor; plain CFGs have none.
-                    kind = 3 if self.icfg.successors_of(n) else 2
-                else:
-                    kind = 0
-                kind_cache[n] = kind
-            if kind == 0:
+            kind = kinds[n]
+            if kind == NORMAL:
                 self._process_normal(d1, n, d2, f)
-            elif kind == 1:
+            elif kind == CALL:
                 self._process_call(d1, n, d2, f)
             else:
                 self._process_exit(d1, n, d2, f)
-                if kind == 3:
+                if kind == EXIT_WITH_SUCCESSORS:
+                    # A disabled `return` in a lifted CFG falls through to
+                    # its successor.
                     self._process_normal(d1, n, d2, f)
 
     def _jump_fn(self, n: Instruction, d1: D, d2: D) -> EdgeFunction[V]:
@@ -512,116 +508,133 @@ class IDESolver(Generic[D, V]):
                 self.icfg.return_sites_of(call),
             )
 
-    # ==================================================================
-    # Phase II: value computation
-    # ==================================================================
 
-    def _compute_values(self) -> Dict[Tuple[Instruction, D], V]:
-        top = self.problem.top_value()
-        join_values = self.problem.join_values
-        values: Dict[Tuple[Instruction, D], V] = {}
-        value_updates = 0
+# ======================================================================
+# Phase II: value computation
+# ======================================================================
 
-        def set_value(stmt: Instruction, fact: D, value: V) -> bool:
-            nonlocal value_updates
-            key = (stmt, fact)
-            old = values.get(key, top)
-            # Top is the join's neutral element; a stored value never
-            # equals it, so only a missing key reads top.
-            joined = value if old is top else join_values(old, value)
-            # Identity first: value systems interning their instances (the
-            # BDD constraint system does) make the no-change case pointer
-            # equality.
-            if joined is old or joined == old:
-                return False
-            values[key] = joined
-            value_updates += 1
-            return True
 
-        # Phase II(i): start points and call sites.
-        tracer = obs.tracer()
-        worklist: Deque[Tuple[Instruction, D]] = deque()
-        with tracer.span("ide/phase2/i"):
-            for stmt, fact_values in self.problem.initial_seed_values().items():
-                for fact, value in fact_values.items():
-                    if set_value(stmt, fact, value):
-                        worklist.append((stmt, fact))
-            while worklist:
-                n, d = worklist.popleft()
-                value = values.get((n, d), top)
-                method = self.icfg.method_of(n)
-                if n is self.icfg.start_point_of(method):
-                    for call in self.icfg.call_sites_in(method):
-                        # Indexed jump table: enumerate only the pairs whose
-                        # source fact is `d` instead of scanning all (d1, d2).
-                        rows = self._jump.get(call)
-                        row = rows.get(d) if rows is not None else None
-                        if not row:
-                            continue
-                        for d2, f in row.items():
-                            if set_value(call, d2, f.compute_target(value)):
-                                worklist.append((call, d2))
-                if self.icfg.is_call(n):
-                    for _callee, start, entry_edges in self._call_targets(n, d):
-                        for d3, edge in entry_edges:
-                            if set_value(start, d3, edge.compute_target(value)):
-                                worklist.append((start, d3))
+def compute_values(
+    problem: IDEProblem[D, V],
+    jump: Dict[Instruction, Dict[D, Dict[D, EdgeFunction[V]]]],
+    call_targets: Callable[[Instruction, D], Tuple[_CallTarget, ...]],
+    stats: Dict[str, int],
+) -> Dict[Tuple[Instruction, D], V]:
+    """IDE phase II: the value of every reachable ``(stmt, fact)`` node.
 
-        # Phase II(ii): every remaining node via its jump function.  The
-        # two-level index looks up the start value once per source fact,
-        # and since that value is fixed within a method, each jump function
-        # is evaluated once per source fact (flyweight edges recur across a
-        # method's statements).  Contributions from different source facts
-        # d1 targeting the same (stmt, d2) are merged with one n-ary join
-        # instead of a pairwise fold — at high-in-degree merge points this
-        # halves the traffic to the value lattice (ROADMAP "batch
-        # constraint joins").
-        jump = self._jump
-        batch_joins = 0
-        with tracer.span("ide/phase2/ii"):
-            for method in self.icfg.reachable_methods:
-                start = self.icfg.start_point_of(method)
-                # Start values looked up once per source fact per method, not
-                # once per (statement, source fact) pair; targets_of memoizes
-                # each jump function's value at them (keyed by the function,
-                # so edge functions must be hashable).
-                start_values: Dict[D, V] = {}
-                targets_of: Dict[D, Dict[EdgeFunction[V], V]] = {}
-                for stmt in method.instructions:
-                    if stmt is start:
+    ``jump`` holds the jump functions of phase I as ``stmt -> d1 -> d2 ->
+    edge function`` rows, and ``call_targets(n, d2)`` yields the callees
+    of a call node with each entry fact and its call edge.  Both engines
+    call this — the tabulation solver with its jump table, the Datalog
+    engine with its ``path_edge`` fixpoint re-indexed into such rows — so
+    the two differ only in how they reach phase I's fixpoint.  Adds
+    ``value_updates`` and ``value_batch_joins`` to ``stats``.
+    """
+    icfg = problem.icfg
+    top = problem.top_value()
+    join_values = problem.join_values
+    values: Dict[Tuple[Instruction, D], V] = {}
+    value_updates = 0
+
+    def set_value(stmt: Instruction, fact: D, value: V) -> bool:
+        nonlocal value_updates
+        key = (stmt, fact)
+        old = values.get(key, top)
+        # Top is the join's neutral element; a stored value never
+        # equals it, so only a missing key reads top.
+        joined = value if old is top else join_values(old, value)
+        # Identity first: value systems interning their instances (the
+        # BDD constraint system does) make the no-change case pointer
+        # equality.
+        if joined is old or joined == old:
+            return False
+        values[key] = joined
+        value_updates += 1
+        return True
+
+    # Phase II(i): start points and call sites.
+    tracer = obs.tracer()
+    worklist: Deque[Tuple[Instruction, D]] = deque()
+    with tracer.span("ide/phase2/i"):
+        for stmt, fact_values in problem.initial_seed_values().items():
+            for fact, value in fact_values.items():
+                if set_value(stmt, fact, value):
+                    worklist.append((stmt, fact))
+        while worklist:
+            n, d = worklist.popleft()
+            value = values.get((n, d), top)
+            method = icfg.method_of(n)
+            if n is icfg.start_point_of(method):
+                for call in icfg.call_sites_in(method):
+                    # Indexed jump table: enumerate only the pairs whose
+                    # source fact is `d` instead of scanning all (d1, d2).
+                    rows = jump.get(call)
+                    row = rows.get(d) if rows is not None else None
+                    if not row:
                         continue
-                    rows = jump.get(stmt)
-                    if rows is None:
+                    for d2, f in row.items():
+                        if set_value(call, d2, f.compute_target(value)):
+                            worklist.append((call, d2))
+            if icfg.is_call(n):
+                for _callee, start, entry_edges in call_targets(n, d):
+                    for d3, edge in entry_edges:
+                        if set_value(start, d3, edge.compute_target(value)):
+                            worklist.append((start, d3))
+
+    # Phase II(ii): every remaining node via its jump function.  The
+    # two-level index looks up the start value once per source fact,
+    # and since that value is fixed within a method, each jump function
+    # is evaluated once per source fact (flyweight edges recur across a
+    # method's statements).  Contributions from different source facts
+    # d1 targeting the same (stmt, d2) are merged with one n-ary join
+    # instead of a pairwise fold — at high-in-degree merge points this
+    # halves the traffic to the value lattice (ROADMAP "batch
+    # constraint joins").
+    batch_joins = 0
+    with tracer.span("ide/phase2/ii"):
+        for method in icfg.reachable_methods:
+            start = icfg.start_point_of(method)
+            # Start values looked up once per source fact per method, not
+            # once per (statement, source fact) pair; targets_of memoizes
+            # each jump function's value at them (keyed by the function,
+            # so edge functions must be hashable).
+            start_values: Dict[D, V] = {}
+            targets_of: Dict[D, Dict[EdgeFunction[V], V]] = {}
+            for stmt in method.instructions:
+                if stmt is start:
+                    continue
+                rows = jump.get(stmt)
+                if rows is None:
+                    continue
+                incoming: Dict[D, List[V]] = {}
+                for d1, row in rows.items():
+                    start_value = start_values.get(d1)
+                    if start_value is None:
+                        start_value = start_values[d1] = values.get(
+                            (start, d1), top
+                        )
+                        targets_of[d1] = {}
+                    if start_value == top:
                         continue
-                    incoming: Dict[D, List[V]] = {}
-                    for d1, row in rows.items():
-                        start_value = start_values.get(d1)
-                        if start_value is None:
-                            start_value = start_values[d1] = values.get(
-                                (start, d1), top
-                            )
-                            targets_of[d1] = {}
-                        if start_value == top:
-                            continue
-                        targets = targets_of[d1]
-                        for d2, f in row.items():
-                            target = targets.get(f)
-                            if target is None:
-                                target = targets[f] = f.compute_target(start_value)
-                            contributions = incoming.get(d2)
-                            if contributions is None:
-                                contributions = incoming[d2] = []
-                            contributions.append(target)
-                    for d2, contributions in incoming.items():
-                        if len(contributions) == 1:
-                            set_value(stmt, d2, contributions[0])
-                        else:
-                            batch_joins += 1
-                            set_value(
-                                stmt,
-                                d2,
-                                self.problem.join_all_values(contributions),
-                            )
-        self.stats["value_updates"] += value_updates
-        self.stats["value_batch_joins"] += batch_joins
-        return values
+                    targets = targets_of[d1]
+                    for d2, f in row.items():
+                        target = targets.get(f)
+                        if target is None:
+                            target = targets[f] = f.compute_target(start_value)
+                        contributions = incoming.get(d2)
+                        if contributions is None:
+                            contributions = incoming[d2] = []
+                        contributions.append(target)
+                for d2, contributions in incoming.items():
+                    if len(contributions) == 1:
+                        set_value(stmt, d2, contributions[0])
+                    else:
+                        batch_joins += 1
+                        set_value(
+                            stmt,
+                            d2,
+                            problem.join_all_values(contributions),
+                        )
+    stats["value_updates"] += value_updates
+    stats["value_batch_joins"] += batch_joins
+    return values

@@ -39,6 +39,7 @@ from repro.ifds.worklist import (
     make_worklist,
     resolve_worklist_order,
 )
+from repro.ir.icfg import CALL, EXIT_WITH_SUCCESSORS, NORMAL
 from repro.ir.instructions import Instruction
 from repro.ir.program import IRMethod
 from repro.obs import runtime as obs
@@ -130,9 +131,6 @@ class IFDSSolver(Generic[D]):
             Tuple[Instruction, Instruction, D],
             Tuple[Tuple[Instruction, D], ...],
         ] = {}
-        # Statement kind (0 normal, 1 call, 2 exit, 3 exit-with-successors),
-        # resolved once per statement instead of per worklist pop.
-        self._kind_cache: Dict[Instruction, int] = {}
         # Flow functions are pure per ICFG edge; constructing them (closure
         # allocation in the client analyses) is cached per edge so memo
         # misses for further facts at the same edge skip it.
@@ -161,7 +159,7 @@ class IFDSSolver(Generic[D]):
             for fact in facts:
                 self._propagate(fact, stmt, fact)
         worklist = self._worklist
-        kind_cache = self._kind_cache
+        kinds = self.icfg.kinds
         dequeue = self._dequeue
         tick = 0
         while worklist:
@@ -175,26 +173,17 @@ class IFDSSolver(Generic[D]):
                     path_edges=self.stats["path_edges"],
                 )
             d1, n, d2 = dequeue()
-            kind = kind_cache.get(n)
-            if kind is None:
-                if self.icfg.is_call(n):
-                    kind = 1
-                elif self.icfg.is_exit(n):
-                    # In a lifted (SPL-aware) CFG a disabled `return` falls
-                    # through to its successor statement (cf. Figure 4b of
-                    # the paper applied to exits); plain CFGs have no
-                    # successors after a return.
-                    kind = 3 if self.icfg.successors_of(n) else 2
-                else:
-                    kind = 0
-                kind_cache[n] = kind
-            if kind == 0:
+            kind = kinds[n]
+            if kind == NORMAL:
                 self._process_normal(d1, n, d2)
-            elif kind == 1:
+            elif kind == CALL:
                 self._process_call(d1, n, d2)
             else:
                 self._process_exit(d1, n, d2)
-                if kind == 3:
+                if kind == EXIT_WITH_SUCCESSORS:
+                    # In a lifted (SPL-aware) CFG a disabled `return` falls
+                    # through to its successor statement (cf. Figure 4b of
+                    # the paper applied to exits).
                     self._process_normal(d1, n, d2)
 
     def _propagate(self, d1: D, n: Instruction, d2: D) -> None:

@@ -8,13 +8,19 @@ only — they never touch the AST or the frontend.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Dict, Iterator, List, Tuple
 
 from repro.ir.callgraph import CallGraph, build_call_graph
 from repro.ir.instructions import Goto, If, Instruction, Invoke, Return
 from repro.ir.program import IRError, IRMethod, IRProgram
 
-__all__ = ["ICFG"]
+__all__ = ["ICFG", "NORMAL", "CALL", "EXIT", "EXIT_WITH_SUCCESSORS"]
+
+#: Statement kinds, as :attr:`ICFG.kinds` classifies them.  An exit with
+#: successors is a disabled annotated ``return`` of a lifted CFG, which
+#: falls through: it is both an exit and a normal statement.
+NORMAL, CALL, EXIT, EXIT_WITH_SUCCESSORS = 0, 1, 2, 3
 
 
 class ICFG:
@@ -75,6 +81,21 @@ class ICFG:
 
     def is_branch(self, instruction: Instruction) -> bool:
         return isinstance(instruction, (If, Goto))
+
+    @cached_property
+    def kinds(self) -> Dict[Instruction, int]:
+        """Each statement's kind (:data:`NORMAL`, :data:`CALL`,
+        :data:`EXIT` or :data:`EXIT_WITH_SUCCESSORS`), decided once per
+        graph from its own successor map; the solvers index it per visit."""
+        kinds: Dict[Instruction, int] = {}
+        for instruction, successors in self._successors.items():
+            if self.is_call(instruction):
+                kinds[instruction] = CALL
+            elif self.is_exit(instruction):
+                kinds[instruction] = EXIT_WITH_SUCCESSORS if successors else EXIT
+            else:
+                kinds[instruction] = NORMAL
+        return kinds
 
     def callees_of(self, call: Instruction) -> Tuple[IRMethod, ...]:
         """Possible dispatch targets of a call site (CHA)."""

@@ -369,9 +369,10 @@ def _count_flows(problem, built, applied):
 
 
 class TestOneInnerApplication:
-    def test_inner_flows_are_built_once_and_applied_once(self):
+    @pytest.mark.parametrize("engine", ["tabulate", "datalog"])
+    def test_inner_flows_are_built_once_and_applied_once(self, engine):
         """Lifting applies the analysis' flow once per application of the
-        lifted flow, and the solver's flow cache leaves one inner flow per
+        lifted flow, and each engine's flow cache leaves one inner flow per
         ICFG edge: the label of each target comes from that one
         application, not from applying the flow again per exploded edge."""
         product_line = gpl_like()
@@ -380,7 +381,7 @@ class TestOneInnerApplication:
         _count_flows(analysis, inner_built, inner_applied)
         spllift = SPLLift(analysis, feature_model=product_line.feature_model)
         _count_flows(spllift.problem, None, lifted_applied)
-        spllift.solve()
+        spllift.solve(engine=engine)
         assert any(key[1].annotation is not None for key in inner_built)
         assert max(inner_built.values()) == 1
         # A disabled-only flow (a goto's or return's fall-through) builds

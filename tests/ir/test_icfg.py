@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.core.icfg import LiftedICFG
 from repro.ir import Goto, ICFG, If, Invoke, IRError, Print, Return, lower_program
+from repro.ir.icfg import CALL, EXIT, EXIT_WITH_SUCCESSORS, NORMAL
 from repro.minijava import parse_program
 from repro.spl.examples import FIGURE1_SOURCE
 
@@ -58,6 +60,25 @@ class TestClassification:
         call = next(i for i in icfg.reachable_instructions() if icfg.is_call(i))
         (site,) = icfg.return_sites_of(call)
         assert isinstance(site, Print)
+
+    def test_kinds_follow_each_graph_successors(self):
+        """A lifted CFG's annotated return falls through, so it is an exit
+        with successors there and a plain exit in the unlifted graph."""
+        icfg = icfg_for(
+            "class Main { void main() { int y = choose(1); print(y); }"
+            " int choose(int p) { #ifdef (R) return 0; #endif return p; } }"
+        )
+        lifted = LiftedICFG(icfg)
+        choose = icfg.program.method("Main.choose")
+        annotated, last = (i for i in choose.instructions if isinstance(i, Return))
+        call = next(i for i in icfg.reachable_instructions() if isinstance(i, Invoke))
+        show = next(i for i in icfg.reachable_instructions() if isinstance(i, Print))
+        assert icfg.kinds[annotated] == icfg.kinds[last] == EXIT
+        assert lifted.kinds[annotated] == EXIT_WITH_SUCCESSORS
+        assert lifted.kinds[last] == EXIT
+        assert icfg.kinds[call] == lifted.kinds[call] == CALL
+        assert icfg.kinds[show] == lifted.kinds[show] == NORMAL
+        assert set(icfg.kinds) == set(icfg.reachable_instructions())
 
     def test_callees(self):
         icfg = icfg_for(FIGURE1_SOURCE)

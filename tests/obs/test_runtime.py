@@ -281,6 +281,22 @@ class TestSolverTracing:
             "ide/phase2/ii",
         } <= names
 
+    def test_datalog_solve_runs_the_ide_value_phase(self):
+        """The Datalog engine replaces phase I only: the IDE solver's
+        phase II spans open inside its values span."""
+        obs.enable_tracing()
+        product_line = figure1_with_model()
+        SPLLift(
+            UninitializedVariablesAnalysis(product_line.icfg),
+            feature_model=product_line.feature_model,
+        ).solve(engine="datalog")
+        events = [(e["name"], e["ph"]) for e in obs.tracer().events()]
+        begin = events.index(("datalog/values", "B"))
+        end = events.index(("datalog/values", "E"))
+        for phase in ("ide/phase2/i", "ide/phase2/ii"):
+            assert (phase, "B") in events[begin:end]
+            assert (phase, "E") in events[begin:end]
+
     def test_untraced_solve_buffers_nothing(self):
         product_line = figure1_with_model()
         SPLLift(

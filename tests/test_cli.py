@@ -99,6 +99,18 @@ class TestAnalyze:
         out = capsys.readouterr().out
         assert "jump_functions" in out
 
+    @pytest.mark.parametrize("engine", ["tabulate", "datalog"])
+    def test_stats_flag_without_findings(self, tmp_path, capsys, engine):
+        source = tmp_path / "nofind.mj"
+        source.write_text("class Main { void main() { int x = 1; print(x); } }")
+        rc = main(
+            ["analyze", str(source), "--analysis", "taint", "--stats", "--engine", engine]
+        )
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "taint: no findings" in out
+        assert "solver statistics:" in out
+
     def test_rd_informational(self, spl_file, capsys):
         rc = main(["analyze", spl_file, "--analysis", "rd"])
         assert rc == 1
